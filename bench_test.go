@@ -237,6 +237,51 @@ func TestServerGroupCommitSpeedup(t *testing.T) {
 	}
 }
 
+// pointAt returns series' y at x in f.
+func pointAt(t *testing.T, f bench.Figure, series string, x float64) float64 {
+	t.Helper()
+	for _, s := range f.Series {
+		if s.Name != series {
+			continue
+		}
+		for _, p := range s.Points {
+			if p.X == x {
+				return p.Y
+			}
+		}
+	}
+	t.Fatalf("series %q has no point at x=%v", series, x)
+	return 0
+}
+
+// TestPipelineFanIn is the deterministic gate for commit pipelining within
+// a connection (ROADMAP item 3): ONE connection keeping 32 overwrites in
+// flight against the real TCP server stack must fill group-commit rounds
+// by itself — at most 0.1 log fences per acked PUT, and at least 3x the
+// acked PUTs per modeled device second of the same connection at depth 1,
+// on the server figure's 5µs-fence device. Both sides of the gate are
+// device counters: the figure's client sends each burst in one write, so
+// burst boundaries do not depend on the scheduler. The depth-1 end is held
+// too: a lone, unpipelined PUT still buys its own flush — and does so
+// without sleeping a gather window, which the wall-clock series (reported,
+// not gated) would show as a ~10x collapse at depth 1. Runs in -short mode.
+func TestPipelineFanIn(t *testing.T) {
+	f := bench.Pipeline(bench.Quick)
+	deep := float64(bench.PipelineDepths[len(bench.PipelineDepths)-1])
+	d1, d32 := pointAt(t, f, "kops/s simulated", 1), pointAt(t, f, "kops/s simulated", deep)
+	if d32 < 3*d1 {
+		t.Errorf("depth %v = %.1f kops/modeled-s, depth 1 = %.1f: pipelining speedup %.2fx < 3x", deep, d32, d1, d32/d1)
+	}
+	if fo := pointAt(t, f, "fences/op", deep); fo > 0.1 {
+		t.Errorf("depth %v pays %.3f fences/op > 0.1: the burst is not sharing one flush", deep, fo)
+	}
+	if fo := pointAt(t, f, "fences/op", 1); fo < 0.9 {
+		t.Errorf("depth 1 pays %.3f fences/op: an unpipelined PUT was acked without a flush of its own", fo)
+	}
+	t.Logf("wall clock: depth 1 = %.1f kops/s, depth %v = %.1f kops/s",
+		pointAt(t, f, "kops/s wall", 1), deep, pointAt(t, f, "kops/s wall", deep))
+}
+
 func BenchmarkServerThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f := bench.ServerThroughput(bench.Quick)
@@ -692,6 +737,20 @@ func TestFigureShapes(t *testing.T) {
 		}
 		if last(f, "BerkeleyDB") <= last(f, "Stasis") {
 			t.Error("BerkeleyDB not costlier than Stasis")
+		}
+	})
+	t.Run("pipeline", func(t *testing.T) {
+		// Fence amortization within one connection is monotone in depth:
+		// each doubling may only lower the fence bill and raise throughput.
+		f := bench.Pipeline(bench.Quick)
+		for i := 1; i < len(bench.PipelineDepths); i++ {
+			lo, hi := float64(bench.PipelineDepths[i-1]), float64(bench.PipelineDepths[i])
+			if pointAt(t, f, "fences/op", hi) >= pointAt(t, f, "fences/op", lo) {
+				t.Errorf("fences/op did not fall from depth %v to %v", lo, hi)
+			}
+			if pointAt(t, f, "kops/s simulated", hi) <= pointAt(t, f, "kops/s simulated", lo) {
+				t.Errorf("modeled throughput did not rise from depth %v to %v", lo, hi)
+			}
 		}
 	})
 	t.Run("fig10", func(t *testing.T) {

@@ -421,7 +421,7 @@ func printStats(st *client.ServerStats) {
 	}
 	if len(st.CommitPhases) > 0 {
 		fmt.Fprintf(w, "\ncommit phase\tcount\tp50\tp95\tp99\tmax\tdevice p50\n")
-		for _, ph := range []string{"latch_wait", "log_append", "gc_gather", "flush_fence", "publish"} {
+		for _, ph := range []string{"latch_wait", "log_append", "publish", "reply_queue", "gc_gather", "flush_fence"} {
 			l, ok := st.CommitPhases[ph]
 			if !ok {
 				continue

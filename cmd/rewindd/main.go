@@ -4,13 +4,15 @@
 // acknowledged write is in the OS page cache the moment its commit round
 // flushes: a SIGKILLed daemon restarted on the same file recovers every
 // write it ever acked (the crash-torture suite kills it mid-load to prove
-// it). Commits from concurrent connections are merged into shared group-
-// commit flushes unless -group-commit=false.
+// it). Commits are merged into shared group-commit flushes unless
+// -group-commit=false — across connections, and within one: a connection
+// that pipelines requests has its whole burst published before any of it
+// waits, so one socket fills a flush by itself.
 //
 // Usage:
 //
 //	rewindd -addr :7707 -backing /var/lib/rewind/arena.nvm
-//	rewindd -backing arena.nvm -stripes 16 -shards 4 -gc-window 200us
+//	rewindd -backing arena.nvm -stripes 16 -shards 4
 //	rewindd -backing arena.nvm -metrics-addr 127.0.0.1:7708
 //
 // With -metrics-addr set, a sidecar HTTP listener serves Prometheus text
@@ -139,8 +141,8 @@ func main() {
 	serialWrites := flag.Bool("serial-writes", false, "serialize writers per stripe behind one latch instead of the per-leaf / CAS-overwrite fine-grained write path (escape hatch / baseline)")
 	commitMode := flag.String("commit-mode", "undo-redo", `logging protocol: "undo-redo" (in-place writes, both images logged) or "redo-only" (private buffers, half the log volume, undo-free recovery)`)
 	groupCommit := flag.Bool("group-commit", true, "merge concurrent commits into shared log flushes")
-	gcWindow := flag.Duration("gc-window", 100*time.Microsecond, "group-commit gather window")
-	gcMax := flag.Int("gc-max", 64, "close a commit round early at this many commits")
+	gcWindow := flag.Duration("gc-window", 100*time.Microsecond, "group-commit gather window: how long connections with ONE request in flight wait for each other; never slept by a lone commit or a pipelined burst")
+	gcMax := flag.Int("gc-max", 64, "close a commit round's gather early at this many waiting connections")
 	groupSize := flag.Int("group-size", 64, "Batch log records per self-scheduled flush group")
 	ckptEvery := flag.Duration("checkpoint", 5*time.Second, "checkpoint interval (0 disables); bounds log growth and recovery time")
 	ckptPause := flag.Duration("checkpoint-pause", 2*time.Millisecond, "per-freeze checkpoint pause budget in simulated device time (0 disables pacing: one freeze-all pause)")

@@ -143,6 +143,7 @@ func Runners() []Runner {
 		{"shards", "Sharded-log commit throughput", ShardScaling},
 		{"span", "Span-record vs per-word logging", SpanLogging},
 		{"server", "rewindd group-commit throughput", ServerThroughput},
+		{"pipeline", "One connection: throughput vs pipeline depth", Pipeline},
 		{"recovery", "Parallel recovery scaling", RecoveryScaling},
 		{"readpath", "Latch-free GET/SCAN read path", ReadPath},
 		{"logfootprint", "Log footprint: undo/redo vs redo-only", LogFootprint},

@@ -11,27 +11,52 @@ import (
 	"github.com/rewind-db/rewind/internal/rlog"
 )
 
-// Commit ends a transaction successfully (§4.3). Under Force the sequence
-// is: make all the transaction's updates durable, fence, write the END
-// record, then clear the transaction's log records (applying any deferred
-// DELETE deallocations on the way, END removed last). Under NoForce only
-// the END record is written; checkpoints clear the log later.
-//
-// Only the transaction's own shard is locked — reached directly through
-// the handle — so commits on different shards proceed in parallel. The
-// transaction is marked finished in the (volatile) table strictly after
-// its END record is in the log, which is the invariant checkpoints rely on
-// when they clear finished transactions.
+// Commit ends a transaction successfully (§4.3): Publish, then WaitDurable
+// on the ticket. When it returns the transaction survives any crash.
 func (x *Txn) Commit() error {
-	if err := x.running(); err != nil {
+	if _, err := x.Publish(); err != nil {
 		return err
 	}
+	x.WaitDurable()
+	return nil
+}
+
+// WaitDurable waits on the transaction's own ticket, charging the wait to
+// its observed span.
+func (x *Txn) WaitDurable() { x.tm.WaitDurable(x.ticket, x.span) }
+
+// Publish is the first half of commit: it fixes the transaction's place in
+// its shard's commit order and makes its writes visible, and returns the
+// Ticket that WaitDurable turns into a durability guarantee. Under Force
+// the sequence is: make all the transaction's updates durable, fence, write
+// the END record, force it, then clear the transaction's log records
+// (applying any deferred DELETE deallocations on the way, END removed last)
+// — the ticket is already durable. Under NoForce only the END record is
+// written; checkpoints clear the log later, and without group commit the
+// END is forced here, so again the ticket is born durable. Only under
+// GroupCommit does the ticket name work still to do.
+//
+// Only the transaction's own shard is locked — reached directly through
+// the handle — so commits on different shards proceed in parallel.
+//
+// The transaction is finished for the manager from here on, whether or not
+// anybody ever waits on the ticket: it is marked finished in the (volatile)
+// table, counted committed, and leaves the shard's running count, all
+// strictly after its END record is in the log. That is the invariant
+// checkpoints rely on when they clear finished transactions — the stamp
+// round forces every shard under its mutex before it snapshots the table,
+// so a transaction it sees finished has its END durably below the stamp —
+// and it is why an abandoned ticket (a connection that died mid-burst)
+// leaks no table entry.
+func (x *Txn) Publish() (Ticket, error) {
+	if err := x.running(); err != nil {
+		return Ticket{}, err
+	}
 	if x.st.buf != nil {
-		return x.commitRedoOnly(false)
+		return x.publishRedoOnly(false), nil
 	}
 	tm, sh := x.tm, x.sh
-	gc := tm.cfg.GroupCommit
-	pc := tm.startPhases(x)
+	pc := tm.startPhases(x.span)
 	contended := sh.lock()
 	pc.mark(obs.PhaseLatchWait)
 	if tm.cfg.Policy == Force {
@@ -44,35 +69,24 @@ func (x *Txn) Commit() error {
 	}
 	// The END record joins the log without forcing a flush of its own;
 	// durability comes from the explicit force below (per-commit flush) or
-	// from the shared group-commit round flush, which Commit waits for
-	// before returning. The publish hook fires strictly AFTER the END is in
-	// the shard log and strictly BEFORE any flush: in-place writes were
-	// visible all along, but latches that gate dependent writers (the kv
-	// write path) must only open once this transaction's commit order on
-	// its shard is fixed — that is what makes shard-pinned pipelining
-	// (BeginOn) crash-consistent — and must never stay held across a fence.
+	// from a group-commit round flush, which WaitDurable finds or leads.
+	// The publish hook fires strictly AFTER the END is in the shard log and
+	// strictly BEFORE any flush: in-place writes were visible all along,
+	// but latches that gate dependent writers (the kv write path) must only
+	// open once this transaction's commit order on its shard is fixed —
+	// that is what makes shard-pinned pipelining (BeginOn) crash-consistent
+	// — and must never stay held across a fence.
+	x.ticket = Ticket{Shard: sh.idx, Seq: sh.endSeq.Add(1)}
 	tm.appendShard(sh, x.st, rlog.Fields{Txn: x.st.id, Type: rlog.TypeEnd}, false)
 	pc.mark(obs.PhaseLogAppend)
-	x.publish()
+	x.firePublish()
 	pc.mark(obs.PhasePublish)
-	if !gc {
+	if !tm.cfg.GroupCommit {
 		tm.forceLogShard(sh)
 		pc.mark(obs.PhaseFlushFence)
 	}
 	sh.mu.Unlock()
-	sh.commits.Add(1)
-	if !contended {
-		sh.uncontended.Add(1)
-	}
-	if gc {
-		tm.groupWait(sh, &pc)
-	}
-
-	tm.mu.Lock()
-	x.st.status = statusFinished
-	tm.stats.Committed++
-	tm.mu.Unlock()
-	sh.running.Add(-1)
+	x.finish(contended)
 
 	if tm.cfg.Policy == Force {
 		tm.clearFinished(x.st, true)
@@ -80,36 +94,66 @@ func (x *Txn) Commit() error {
 		delete(tm.table, x.st.id)
 		tm.mu.Unlock()
 	}
-	return nil
+	return x.ticket, nil
 }
 
-// groupWait blocks until a group-commit flush covers the caller's freshly
-// appended END record (§3.3 generalized across transactions).
+// finish does the manager's bookkeeping for a transaction whose END has
+// just joined its shard log (see Publish for why this is the right moment).
+func (x *Txn) finish(contended bool) {
+	tm, sh := x.tm, x.sh
+	sh.commits.Add(1)
+	if !contended {
+		sh.uncontended.Add(1)
+	}
+	tm.mu.Lock()
+	x.st.status = statusFinished
+	tm.stats.Committed++
+	tm.mu.Unlock()
+	sh.running.Add(-1)
+}
+
+// WaitDurable blocks until a log force covers the ticket's END record
+// (§3.3 generalized across transactions). It returns at once when the
+// shard's durable mark already has — the common case for all but one
+// ticket of a pipelined burst, and for every ticket outside group commit.
 //
-// The first committer to arrive opens a round and becomes its leader: it
-// waits up to GroupCommitWindow for other commits to join (or until
-// GroupCommitMax have; not at all if it is the only unfinished
-// transaction — nobody exists who could join), then acquires the shard,
-// closes the round, and issues ONE ForceFlush — flush + fence +
-// persisted-index store — on behalf of every member. Followers just wait
-// for the leader's done signal.
+// Otherwise the caller joins the shard's open round, or opens one and
+// becomes its leader: it waits up to GroupCommitWindow for company when
+// there is a sign of any (or until GroupCommitMax waiters have joined),
+// then acquires the shard, closes the round, and issues ONE ForceFlush —
+// flush + fence + persisted-index store — on behalf of every END in the
+// log by then, waited on or not. Followers just wait for the leader's done
+// signal.
 //
-// Correctness of the shared flush: a follower can only join a round that
-// is still open, and the leader closes the round only after it holds the
-// shard mutex. A follower's END was appended under the shard mutex before
-// it tried to join, so by the time the leader holds that mutex, every
-// member's END is in the log and the flush covers it. Closing after the
-// mutex acquisition (not before) also means commits arriving while the
-// leader waits for a busy shard still join this round instead of leading
-// size-1 rounds of their own. Commits that arrive after the close open
-// the next round — nothing is ever left waiting on a flush that already
-// happened.
-// The phase clock attributes a follower's whole wait to the gather
-// phase (the leader pays the flush on its behalf), and a leader's
-// window + shard re-acquisition to gather with the shared force as
-// flush+fence.
-func (tm *TM) groupWait(sh *logShard, pc *phaseClock) {
+// Correctness of the shared flush: a ticket exists only once its END was
+// appended under the shard mutex, a follower can only join a round that is
+// still open, and the leader closes the round only after it holds the
+// shard mutex. So by the time the leader holds that mutex, every member's
+// END is in the log and the flush covers it. Closing after the mutex
+// acquisition (not before) also means waiters arriving while the leader
+// waits for a busy shard still join this round instead of leading size-1
+// rounds of their own. Waiters that arrive after the close open the next
+// round; if the flush in progress turns out to have covered them, the
+// leader of that next round finds the mark caught up and issues no flush.
+//
+// span, when non-nil, receives the wait's phases: a follower's whole wait
+// is gather (the leader pays the flush on its behalf); a leader's window +
+// shard acquisition is gather and the shared force is flush+fence. A
+// ticket found durable records no phase.
+func (tm *TM) WaitDurable(t Ticket, span *obs.Span) {
+	if t.Seq == 0 {
+		return
+	}
+	sh := tm.shards[t.Shard]
+	if sh.durable.Load() >= t.Seq {
+		return
+	}
+	pc := tm.startPhases(span)
 	sh.gcMu.Lock()
+	if sh.durable.Load() >= t.Seq {
+		sh.gcMu.Unlock()
+		return
+	}
 	if r := sh.gcRound; r != nil {
 		// Join the open round as a follower.
 		r.n++
@@ -128,64 +172,59 @@ func (tm *TM) groupWait(sh *logShard, pc *phaseClock) {
 	sh.gcMu.Unlock()
 
 	if tm.cfg.GroupCommitWindow > 0 && tm.cfg.GroupCommitMax > 1 {
-		// Yield once so committers that are already runnable (e.g.
-		// connection handlers with requests sitting in their sockets) get
-		// to reach the round, then decide whether gathering is worth a
-		// window of latency. Wait when there is any sign of company: a
-		// joiner already arrived, another transaction is unfinished, or
-		// the previous round had joiners (momentum). A leader with no
-		// such sign flushes immediately — a lone sequential client must
-		// not pay the window per commit — except on every gcProbeEvery-th
-		// joinerless round, where one full window is paid on purpose:
-		// concurrency that hides in socket buffers (handlers not yet
-		// scheduled, one-CPU convoys) is only discoverable by actually
-		// waiting, and without the probe a serialized system would stay
-		// serialized forever.
+		// Yield once so waiters that are already runnable (e.g. connection
+		// handlers with requests sitting in their sockets) get to reach the
+		// round, then decide whether gathering is worth a window of
+		// latency. The window exists for waiters that bring ONE commit each
+		// to find each other, so it is slept only when both hold:
+		//
+		//   - the round covers no more commits than it has waiters. More
+		//     commits than waiters means somebody is waiting on a pipelined
+		//     burst: the fence is already amortized over it, and that
+		//     caller — blocked right here — has nothing to add until it
+		//     gets its answers;
+		//   - there is a sign of company: a waiter already joined, a
+		//     transaction is mid-flight on the shard, or the previous round
+		//     had more than one waiter (momentum — depth-1 connections are
+		//     between requests exactly when the leader looks).
+		//
+		// Otherwise flush now: neither a lone, unpipelined commit nor a
+		// pipelined burst pays the window.
 		runtime.Gosched()
+		durable := sh.durable.Load() // before endSeq: the mark only trails it
 		sh.gcMu.Lock()
-		wait := r.n > 1 || sh.gcMomentum
-		if !wait && sh.running.Load() <= 1 {
-			sh.gcSoloStreak++
-			if sh.gcSoloStreak >= gcProbeEvery {
-				sh.gcSoloStreak = 0
-				wait = true
-			}
-		} else if !wait {
-			wait = true // another transaction is in flight
-		}
+		wait := sh.endSeq.Load()-durable <= uint64(r.n) &&
+			(r.n > 1 || sh.gcMomentum || sh.running.Load() > 0)
 		sh.gcMu.Unlock()
 		if wait {
-			t := time.NewTimer(tm.cfg.GroupCommitWindow)
+			timer := time.NewTimer(tm.cfg.GroupCommitWindow)
 			select {
 			case <-r.full:
-				t.Stop()
-			case <-t.C:
+				timer.Stop()
+			case <-timer.C:
 			}
 		}
 	}
 
 	sh.mu.Lock()
 	sh.gcMu.Lock()
-	sh.gcRound = nil // close the round: later commits start the next one
-	n := r.n
-	sh.gcMomentum = n > 1
-	if n > 1 {
-		sh.gcSoloStreak = 0
-	}
+	sh.gcRound = nil // close the round: later waiters start the next one
+	sh.gcMomentum = r.n > 1
 	sh.gcMu.Unlock()
 	pc.mark(obs.PhaseGather)
-	tm.forceLogShard(sh)
-	pc.mark(obs.PhaseFlushFence)
-	sh.mu.Unlock()
-
-	sh.gcRounds.Add(1)
-	if n > 1 {
-		sh.gcGrouped.Add(int64(n))
+	if covered := int64(sh.endSeq.Load() - sh.durable.Load()); covered > 0 {
+		tm.forceLogShard(sh)
+		pc.mark(obs.PhaseFlushFence)
+		sh.gcRounds.Add(1)
+		if covered > 1 {
+			sh.gcGrouped.Add(covered)
+		}
 	}
+	sh.mu.Unlock()
 	close(r.done)
 }
 
-// commitRedoOnly publishes a RedoOnly transaction: the private buffer is
+// publishRedoOnly publishes a RedoOnly transaction: the private buffer is
 // coalesced into maximal contiguous word runs — each logged as ONE
 // redo-only span record (after-images only) — followed by the deferred
 // DELETEs and the END, all appended under a single shard-mutex hold so
@@ -198,11 +237,11 @@ func (tm *TM) groupWait(sh *logShard, pc *phaseClock) {
 // winner whose redo phase re-applies the after-images (which is why
 // RedoOnly recovery runs redo even under Force). Under NoForce the data
 // stores are cached — lost on crash unless the log survived, same as
-// UndoRedo — and the END rides the usual group flush or group-commit
+// UndoRedo — and the END rides the usual group flush or a group-commit
 // round. Either way the buffer publish (and the OnPublish hook) happens
-// before Commit blocks on durability. keepLog skips Force's commit-time
-// clearing, for the recovery experiments.
-func (x *Txn) commitRedoOnly(keepLog bool) error {
+// before anybody blocks on durability. keepLog skips Force's commit-time
+// clearing and forces the END here, for the recovery experiments.
+func (x *Txn) publishRedoOnly(keepLog bool) Ticket {
 	tm, sh, b := x.tm, x.sh, x.st.buf
 	gc := tm.cfg.GroupCommit && !keepLog
 
@@ -212,7 +251,7 @@ func (x *Txn) commitRedoOnly(keepLog bool) error {
 	}
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 
-	pc := tm.startPhases(x)
+	pc := tm.startPhases(x.span)
 	contended := sh.lock()
 	pc.mark(obs.PhaseLatchWait)
 	for i := 0; i < len(addrs); {
@@ -232,6 +271,7 @@ func (x *Txn) commitRedoOnly(keepLog bool) error {
 	for _, d := range b.deletes {
 		tm.appendShard(sh, x.st, rlog.Fields{Txn: x.st.id, Type: rlog.TypeDelete, Addr: d}, false)
 	}
+	x.ticket = Ticket{Shard: sh.idx, Seq: sh.endSeq.Add(1)}
 	if tm.cfg.Policy == Force {
 		pc.mark(obs.PhaseLogAppend) // the span + DELETE records above
 		tm.appendShard(sh, x.st, rlog.Fields{Txn: x.st.id, Type: rlog.TypeEnd}, true)
@@ -241,32 +281,23 @@ func (x *Txn) commitRedoOnly(keepLog bool) error {
 		for _, a := range addrs {
 			tm.mem.StoreNT64(a, b.writes[a])
 		}
-		x.publish()
+		x.firePublish()
 		tm.mem.Fence()
 		pc.mark(obs.PhasePublish)
 	} else {
 		tm.appendShard(sh, x.st, rlog.Fields{Txn: x.st.id, Type: rlog.TypeEnd}, !gc)
+		if !gc {
+			sh.durable.Store(sh.endSeq.Load()) // the END forced its own group flush
+		}
 		pc.mark(obs.PhaseLogAppend) // every record incl. END (+ group flush)
 		for _, a := range addrs {
 			tm.mem.Store64(a, b.writes[a])
 		}
-		x.publish()
+		x.firePublish()
 		pc.mark(obs.PhasePublish)
 	}
 	sh.mu.Unlock()
-	sh.commits.Add(1)
-	if !contended {
-		sh.uncontended.Add(1)
-	}
-	if gc {
-		tm.groupWait(sh, &pc)
-	}
-
-	tm.mu.Lock()
-	x.st.status = statusFinished
-	tm.stats.Committed++
-	tm.mu.Unlock()
-	sh.running.Add(-1)
+	x.finish(contended)
 	x.st.buf = nil
 
 	if tm.cfg.Policy == Force && !keepLog {
@@ -275,13 +306,8 @@ func (x *Txn) commitRedoOnly(keepLog bool) error {
 		delete(tm.table, x.st.id)
 		tm.mu.Unlock()
 	}
-	return nil
+	return x.ticket
 }
-
-// gcProbeEvery is the solo-round period at which a group-commit leader
-// pays one gather window despite seeing no company, to re-discover
-// concurrency (see groupWait). Amortized lone-client cost: window/16.
-const gcProbeEvery = 16
 
 // CommitKeepLog commits without the force policy's commit-time clearing.
 // It exists for the recovery experiments (Figure 4 right): the paper
@@ -293,7 +319,8 @@ func (x *Txn) CommitKeepLog() error {
 		return err
 	}
 	if x.st.buf != nil {
-		return x.commitRedoOnly(true)
+		x.publishRedoOnly(true)
+		return nil
 	}
 	tm, sh := x.tm, x.sh
 	contended := sh.lock()
@@ -301,22 +328,13 @@ func (x *Txn) CommitKeepLog() error {
 		tm.forceLogShard(sh)
 		tm.mem.Fence()
 	}
-	// Same ordering as Commit: END in the log, then publish, then the
+	// Same ordering as Publish: END in the log, then the hook, then the
 	// per-commit flush (no group rounds on this path).
 	tm.appendShard(sh, x.st, rlog.Fields{Txn: x.st.id, Type: rlog.TypeEnd}, false)
-	x.publish()
+	x.firePublish()
 	tm.forceLogShard(sh)
 	sh.mu.Unlock()
-	sh.commits.Add(1)
-	if !contended {
-		sh.uncontended.Add(1)
-	}
-
-	tm.mu.Lock()
-	x.st.status = statusFinished
-	tm.stats.Committed++
-	tm.mu.Unlock()
-	sh.running.Add(-1)
+	x.finish(contended)
 	return nil
 }
 

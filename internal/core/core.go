@@ -199,30 +199,34 @@ type Config struct {
 	// TwoLayer requires LogShards <= 1: its records live in the AAVLT.
 	LogShards int
 	// GroupCommit merges commits from concurrent transactions into shared
-	// log flushes: END records are appended without their usual per-
-	// transaction group flush, and a per-shard commit round — led by the
-	// first committer, joined by everyone who commits while the round is
-	// open — issues ONE flush + fence + persisted-index store covering all
-	// of them. Commit does not return until the flush that covers its END,
-	// so the durability contract is unchanged; only the fence bill is
-	// split. It generalizes the Batch log's group flush (§3.3) from
+	// log flushes: Publish appends the END record without its usual per-
+	// transaction group flush and returns a Ticket; WaitDurable returns at
+	// once when a flush has already covered the ticket and otherwise joins
+	// or leads a per-shard round that issues ONE flush + fence +
+	// persisted-index store covering every END published by then — those
+	// of the round's waiters and those nobody is waiting on yet (a
+	// connection's pipelined burst). Commit is Publish + WaitDurable, so
+	// its durability contract is unchanged; only the fence bill is split.
+	// It generalizes the Batch log's group flush (§3.3) from
 	// one-transaction-many-records to many-transactions, and requires the
 	// configuration it extends: OneLayer + Batch + NoForce. (Under Force a
 	// commit must persist its own user data before its END; ordering that
 	// inside a shared flush would reintroduce the per-commit fence the
 	// feature exists to remove.)
 	GroupCommit bool
-	// GroupCommitWindow bounds how long a round's leader waits for
-	// joiners before flushing. Zero means the 100µs default; a negative
-	// window skips the wait, batching only commits that arrive while the
-	// leader is acquiring the shard and flushing. The wait is adaptive:
-	// a leader with no sign of company (no joiner, no other unfinished
-	// transaction, no joiners in the previous round) flushes immediately
-	// and only probes with a full window every 16th such round, so a
-	// lone sequential client pays ~window/16 average added latency while
-	// concurrent committers are still discovered and batched.
+	// GroupCommitWindow bounds how long a round's leader waits for more
+	// waiters before flushing. Zero means the 100µs default; a negative
+	// window skips the wait, batching only commits published by the time
+	// the leader holds the shard. The leader sleeps the window only when
+	// BOTH hold: every commit the round would cover has a waiter of its
+	// own (nobody is pipelining — a caller waiting on a burst of tickets
+	// has brought its fan-in with it and can add nothing while it waits),
+	// and there is a sign of company — another waiter already in the
+	// round, a transaction mid-flight on the shard, or a previous round
+	// that had more than one waiter. So a lone, unpipelined commit
+	// flushes at once, and so does a pipelined burst.
 	GroupCommitWindow time.Duration
-	// GroupCommitMax closes a round early once this many commits have
+	// GroupCommitMax closes a round early once this many waiters have
 	// joined (default 64).
 	GroupCommitMax int
 	// RecoveryWorkers is the number of goroutines Open's recovery pass uses
@@ -377,6 +381,16 @@ func (b *redoBuf) load(mem *nvm.Memory, addr uint64) uint64 {
 	return mem.Load64(addr)
 }
 
+// Ticket names one published commit: the log shard its END record joined
+// and that END's ordinal among the shard's published commits. It is a
+// plain value — publishing allocates nothing and opens no channel — that
+// WaitDurable compares against the shard's durable mark. The zero Ticket
+// is "nothing to wait for".
+type Ticket struct {
+	Shard int
+	Seq   uint64
+}
+
 // Txn is a handle on one running transaction: it carries the transaction's
 // shard pointer and table entry, so the hot path (Write64, WriteBytes,
 // Delete, Commit, Rollback) goes handle→shard directly, with no tid-keyed
@@ -399,6 +413,8 @@ type Txn struct {
 	// span, when non-nil, additionally receives Commit's phase timings
 	// (set by Observe; Config.Obs must be set for timings to be taken).
 	span *obs.Span
+	// ticket is set by Publish before the OnPublish hook fires.
+	ticket Ticket
 }
 
 // ID returns the transaction identifier.
@@ -421,11 +437,17 @@ func (x *Txn) Observe(span *obs.Span) { x.span = span }
 // under UndoRedo (in-place writes are already visible) and right after the
 // buffer publish under RedoOnly. In both cases fn runs before Commit
 // blocks on durability, so readers fn releases never wait out a flush.
-// Rollback drops the hook unrun.
+// fn runs under the shard mutex: hooks of one shard run one at a time, in
+// the shard's commit (ticket) order. Rollback drops the hook unrun.
 func (x *Txn) OnPublish(fn func()) { x.onPublish = fn }
 
-// publish fires the OnPublish hook, once.
-func (x *Txn) publish() {
+// Ticket returns the commit's ticket. It is valid from the OnPublish hook
+// onward (the zero Ticket before that), so a hook can record it while the
+// latches that order this commit against its dependents are still held.
+func (x *Txn) Ticket() Ticket { return x.ticket }
+
+// firePublish fires the OnPublish hook, once.
+func (x *Txn) firePublish() {
 	if fn := x.onPublish; fn != nil {
 		x.onPublish = nil
 		fn()
@@ -456,20 +478,27 @@ type logShard struct {
 	log     *rlog.Log // nil in the two-layer configuration
 	pending []pendingWrite
 
-	// Group commit: gcMu guards the open round and the adaptive-wait
-	// state. The leader (the committer that opens a round) gathers
-	// joiners for the configured window, then flushes once on behalf of
-	// everyone (see TM.groupWait). gcMomentum remembers whether the last
-	// round had joiners; gcSoloStreak counts consecutive joinerless
-	// rounds between probe waits.
-	gcMu         sync.Mutex
-	gcRound      *gcRound
-	gcMomentum   bool
-	gcSoloStreak int
-	// running counts transactions begun on this shard but not yet
-	// finished. A group-commit leader consults it to decide whether a
-	// joiner could even exist: only same-shard transactions can join its
-	// round, so the count is per shard, not process-wide.
+	idx int // position in TM.shards; the Shard of this shard's tickets
+
+	// endSeq counts the commits published on this shard (advanced under
+	// mu): the Seq of the next ticket is endSeq+1. durable is the highest
+	// endSeq a completed log force has covered; every forceLogShard
+	// advances it, under mu, so it never passes an END that is not in
+	// NVM. WaitDurable reads it without any lock.
+	endSeq  atomic.Uint64
+	durable atomic.Uint64
+
+	// Group commit: gcMu guards the open round. The leader (the waiter
+	// that opens a round) gathers company for the configured window, then
+	// flushes once on behalf of everyone (see TM.WaitDurable). gcMomentum
+	// remembers whether the last round had more than one waiter.
+	gcMu       sync.Mutex
+	gcRound    *gcRound
+	gcMomentum bool
+	// running counts transactions begun on this shard and not yet
+	// published or rolled back. A group-commit leader consults it: a
+	// transaction mid-flight is about to append an END the pending flush
+	// can cover for free.
 	running atomic.Int64
 
 	appends     atomic.Int64
@@ -483,10 +512,10 @@ type logShard struct {
 	logBytes atomic.Int64
 }
 
-// gcRound is one group-commit round on a shard: the set of commits that
-// will share a single log flush. full is closed when GroupCommitMax
-// commits have joined (the leader stops waiting early); done is closed by
-// the leader once the shared flush has made every member's END durable.
+// gcRound is one group-commit round on a shard: the waiters that will
+// share a single log flush. full is closed when GroupCommitMax waiters
+// have joined (the leader stops waiting early); done is closed by the
+// leader once the shared flush has made every member's END durable.
 type gcRound struct {
 	n        int
 	fullSent bool
@@ -508,11 +537,13 @@ type ShardStats struct {
 	// approaches Commits, which is the scaling the sharded log buys.
 	UncontendedCommits int64
 	// GroupCommitRounds counts shared flushes issued by group-commit
-	// round leaders. Commits / GroupCommitRounds is the average number of
-	// transactions retired per log flush — the fan-in group commit buys.
+	// round leaders (a round that found everything already durable issues
+	// none and is not counted). Commits / GroupCommitRounds is the
+	// average number of transactions retired per log flush — the fan-in
+	// group commit buys.
 	GroupCommitRounds int64
-	// GroupedCommits counts commits that shared their round with at least
-	// one other transaction (i.e. actually split a fence bill).
+	// GroupedCommits counts commits whose covering round flush covered at
+	// least one other commit (i.e. actually split a fence bill).
 	GroupedCommits int64
 	// LogBytes is the total footprint of the records appended to this
 	// shard — headers plus span payloads — since attach. Cumulative write
@@ -642,7 +673,7 @@ func New(a *pmem.Allocator, cfg Config) (*TM, error) {
 				Kind: cfg.LogKind, BucketSize: cfg.BucketSize, GroupSize: cfg.GroupSize,
 				RootSlot: cfg.RootBase + slotLog + i,
 			})
-			tm.shards = append(tm.shards, &logShard{log: log})
+			tm.shards = append(tm.shards, &logShard{idx: i, log: log})
 		}
 	}
 	return tm, nil
@@ -685,7 +716,7 @@ func Open(a *pmem.Allocator, cfg Config) (*TM, *RecoveryStats, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			tm.shards = append(tm.shards, &logShard{log: log})
+			tm.shards = append(tm.shards, &logShard{idx: i, log: log})
 		}
 	}
 	rs := tm.recover()

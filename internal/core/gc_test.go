@@ -153,6 +153,118 @@ func TestGroupCommitUnackedLoses(t *testing.T) {
 	}
 }
 
+// TestTicketBurstSharesOneFlush is the pipelining contract at the manager:
+// sixteen transactions published back to back and waited on afterwards
+// cost ONE round and ONE fence — the first WaitDurable leads a flush that
+// covers every END in the log and the other fifteen tickets find the
+// durable mark already past them — and nobody sleeps the gather window on
+// the way, neither the burst nor a lone commit (the window is an absurd two
+// seconds, so a single sleep would show).
+func TestTicketBurstSharesOneFlush(t *testing.T) {
+	cfg := gcConfig(2*time.Second, 8)
+	cfg.GroupSize = 64 // keep the log's own record-count flush out of the way
+	m, a, tm := newTM(t, cfg)
+	const burst = 16
+	data := dataBlock(a, burst+1, 0)
+	start := time.Now()
+
+	x := tm.Begin()
+	if err := x.Write64(data+burst*8, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Commit(); err != nil { // lone, unpipelined
+		t.Fatal(err)
+	}
+
+	before, rounds := m.Stats(), tm.Stats().Shards[0].GroupCommitRounds
+	var tickets [burst]Ticket
+	for i := range tickets {
+		x := tm.Begin()
+		if err := x.Write64(data+uint64(i)*8, 1000+uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if tickets[i], err = x.Publish(); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && tickets[i].Seq != tickets[i-1].Seq+1 {
+			t.Fatalf("ticket %d has seq %d after %d: not the shard's END order", i, tickets[i].Seq, tickets[i-1].Seq)
+		}
+	}
+	if n := tm.ActiveTxns(); n != 0 {
+		t.Fatalf("%d transactions still active after publish", n)
+	}
+	for _, tk := range tickets {
+		tm.WaitDurable(tk, nil)
+	}
+	if d := m.Stats().Sub(before); d.Fences != 1 {
+		t.Errorf("burst of %d commits paid %d fences, want 1", burst, d.Fences)
+	}
+	st := tm.Stats().Shards[0]
+	if got := st.GroupCommitRounds - rounds; got != 1 {
+		t.Errorf("burst of %d commits took %d rounds, want 1", burst, got)
+	}
+	if st.GroupedCommits < burst {
+		t.Errorf("GroupedCommits = %d, want the whole burst of %d", st.GroupedCommits, burst)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Errorf("a lone commit plus a pipelined burst took %v: somebody slept the gather window", el)
+	}
+
+	if err := m.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	tm2 := reopenTM(t, m, cfg)
+	for i := uint64(0); i < burst; i++ {
+		if got := tm2.Read64(data + i*8); got != 1000+i {
+			t.Fatalf("slot %d = %d after recovery, want %d", i, got, 1000+i)
+		}
+	}
+}
+
+// TestAbandonedTicketLeaksNothing: a ticket nobody ever waits on (its
+// connection died mid-burst) leaves no table entry and no wedge — the
+// transaction was finished at publish, the next checkpoint's force covers
+// its END and clears it, and a late WaitDurable finds the mark past it
+// without opening a round.
+func TestAbandonedTicketLeaksNothing(t *testing.T) {
+	cfg := gcConfig(0, 8)
+	m, a, tm := newTM(t, cfg)
+	data := dataBlock(a, 4, 0)
+	var last Ticket
+	for i := uint64(0); i < 4; i++ {
+		x := tm.Begin()
+		if err := x.Write64(data+i*8, 50+i); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if last, err = x.Publish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tm.Checkpoint()
+	tm.mu.Lock()
+	entries := len(tm.table)
+	tm.mu.Unlock()
+	if entries != 0 {
+		t.Fatalf("%d table entries survive the checkpoint", entries)
+	}
+	rounds := tm.Stats().Shards[0].GroupCommitRounds
+	tm.WaitDurable(last, nil)
+	if got := tm.Stats().Shards[0].GroupCommitRounds; got != rounds {
+		t.Errorf("WaitDurable after the checkpoint's force led %d more rounds", got-rounds)
+	}
+	if err := m.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	tm2 := reopenTM(t, m, cfg)
+	for i := uint64(0); i < 4; i++ {
+		if got := tm2.Read64(data + i*8); got != 50+i {
+			t.Fatalf("slot %d = %d after recovery, want %d", i, got, 50+i)
+		}
+	}
+}
+
 func reopenTM(t *testing.T, m *nvm.Memory, cfg Config) *TM {
 	t.Helper()
 	a2, err := pmem.Open(m)

@@ -352,8 +352,10 @@ func (tm *TM) drainPending(sh *logShard) {
 }
 
 // forceLogShard makes every record appended to the shard durable (Batch
-// group flush; no-op otherwise) and releases deferred writes. Callers hold
-// sh.mu.
+// group flush; no-op otherwise), releases deferred writes, and advances the
+// shard's durable mark over every commit published so far — whoever forces
+// (a round leader, a checkpoint freeze, a per-commit flush) retires the
+// tickets waiting on it. Callers hold sh.mu.
 func (tm *TM) forceLogShard(sh *logShard) {
 	if tm.cfg.LogKind == rlog.Batch {
 		sh.log.ForceFlush()
@@ -364,6 +366,7 @@ func (tm *TM) forceLogShard(sh *logShard) {
 			sh.pending = sh.pending[:0]
 		}
 	}
+	sh.durable.Store(sh.endSeq.Load())
 }
 
 // ReadBytes reads n bytes at addr.

@@ -9,7 +9,8 @@ import (
 
 // phaseClock stamps a commit's passage through the pipeline phases
 // (obs.PhaseLatchWait .. obs.PhasePublish). It is a plain value carried
-// down the commit path: created once at Commit entry, each mark records
+// down each half of the commit path: created at Publish entry, and again
+// at WaitDurable entry when the ticket is not yet durable, each mark records
 // the wall-clock and virtual-clock time since the previous mark into
 // the Obs histograms (and the transaction's span, when one is
 // attached). With observability off the zero phaseClock makes every
@@ -28,13 +29,14 @@ type phaseClock struct {
 	sim  int64
 }
 
-// startPhases opens the phase clock for x's commit.
-func (tm *TM) startPhases(x *Txn) phaseClock {
+// startPhases opens a phase clock recording into span (nil: histograms
+// only).
+func (tm *TM) startPhases(span *obs.Span) phaseClock {
 	o := tm.cfg.Obs
 	if o == nil {
 		return phaseClock{}
 	}
-	return phaseClock{o: o, span: x.span, mem: tm.mem, wall: time.Now(), sim: tm.mem.SimNS()}
+	return phaseClock{o: o, span: span, mem: tm.mem, wall: time.Now(), sim: tm.mem.SimNS()}
 }
 
 // mark closes the current phase as p and starts the next one.

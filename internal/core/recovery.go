@@ -40,7 +40,7 @@ import (
 //
 // RedoOnly collapses the plan to analysis + winners-only redo: records of
 // unfinished transactions are discarded after analysis (their effects never
-// reached the image — see commitRedoOnly's write ordering), redo runs under
+// reached the image — see publishRedoOnly's write ordering), redo runs under
 // both policies, and the undo phase — the one pass that is serial however
 // many workers the pool has — is skipped along with the losers' ENDs.
 func (tm *TM) recover() *RecoveryStats {

@@ -76,8 +76,8 @@ func (k OpKind) String() string {
 }
 
 // Phase identifies one commit-pipeline phase (DESIGN.md §9): the stations
-// a mutating request passes through between arriving at the store and
-// returning durable.
+// a request passes through between arriving at the store and its reply
+// being released.
 type Phase int
 
 // Commit-pipeline phases.
@@ -90,18 +90,25 @@ const (
 	PhaseLogAppend
 	// PhaseGather is group-commit round time: a leader's gather window
 	// plus shard re-acquisition, or a follower's whole wait for the
-	// leader's shared flush.
+	// leader's shared flush. A commit whose ticket an earlier flush
+	// already covered records none.
 	PhaseGather
 	// PhaseFlushFence is explicit log force time: ForceFlush + fence
 	// (the durability wait itself when group commit is off).
 	PhaseFlushFence
 	// PhasePublish is commit-publish callback time: seqlock window
-	// closes, latch releases, pending-counter updates.
+	// closes, latch releases, last-ticket bookkeeping.
 	PhasePublish
+	// PhaseReplyQueue is a pipelined request's time between the end of
+	// its execution and its turn to be released: later frames of the
+	// same burst executing, earlier replies waiting out their durability.
+	// Reads queue here too — a GET behind outstanding writes is answered
+	// in order. A request alone on its connection records none.
+	PhaseReplyQueue
 	NumPhases
 )
 
-var phaseNames = [NumPhases]string{"latch_wait", "log_append", "gc_gather", "flush_fence", "publish"}
+var phaseNames = [NumPhases]string{"latch_wait", "log_append", "gc_gather", "flush_fence", "publish", "reply_queue"}
 
 // String returns the metric-name fragment for the phase.
 func (p Phase) String() string {

@@ -23,25 +23,30 @@ import (
 // swap commits through the single-leaf overwrite fast path whenever the
 // mutation is non-structural.
 func (s *Store) CompareAndSwap(key uint64, expect, value []byte) (bool, error) {
-	return s.CompareAndSwapSpan(key, expect, value, nil)
+	swapped, t, err := s.PublishCAS(key, expect, value, nil)
+	s.st.WaitDurable(t, nil)
+	return swapped, err
 }
 
 // PutIfAbsent durably stores value under key iff no value is present:
 // CompareAndSwap with a nil expect. Exactly one of any set of concurrent
 // PutIfAbsent callers for one key wins.
 func (s *Store) PutIfAbsent(key uint64, value []byte) (bool, error) {
-	return s.CompareAndSwapSpan(key, nil, value, nil)
+	return s.CompareAndSwap(key, nil, value)
 }
 
-// CompareAndSwapSpan is CompareAndSwap with an observability span attached
-// (see PutSpan).
-func (s *Store) CompareAndSwapSpan(key uint64, expect, value []byte, span *obs.Span) (bool, error) {
+// PublishCAS is CompareAndSwap up to commit publish (see PublishPut), with
+// an observability span attached. A swap that applied without mutating
+// (expect-absent delete of an absent key) or did not apply returns the
+// zero ticket: there is nothing of its own to wait for.
+func (s *Store) PublishCAS(key uint64, expect, value []byte, span *obs.Span) (bool, rewind.Ticket, error) {
+	var none rewind.Ticket
 	if value != nil && len(value) > s.cfg.MaxValue {
-		return false, ErrValueTooLarge
+		return false, none, ErrValueTooLarge
 	}
 	s.casAttempts.Add(1)
 	if len(expect) > s.cfg.MaxValue {
-		return false, nil // no stored record can ever match
+		return false, none, nil // no stored record can ever match
 	}
 	idx := s.stripeIndex(key)
 	sp := s.stripes[idx]
@@ -81,13 +86,13 @@ func (s *Store) CompareAndSwapSpan(key uint64, expect, value []byte, span *obs.S
 			if swapped {
 				s.casApplied.Add(1)
 			}
-			return swapped, nil
+			return swapped, none, nil
 		}
 		if err != nil {
-			return false, err
+			return false, none, err
 		}
 		s.casApplied.Add(1)
-		return true, nil
+		return true, none, nil
 	}
 
 	// Optimistic pre-check: one seqlock-validated read. A clean mismatch is
@@ -101,7 +106,7 @@ func (s *Store) CompareAndSwapSpan(key uint64, expect, value []byte, span *obs.S
 				cur = s.readValue(addr)
 			}
 			if sp.seq.Load() == seq && !matches(cur, found) {
-				return false, nil
+				return false, none, nil
 			}
 		}
 	}
@@ -126,53 +131,45 @@ func (s *Store) CompareAndSwapSpan(key uint64, expect, value []byte, span *obs.S
 	}
 	if !matches(cur, eq) {
 		unlatch()
-		return false, nil
+		return false, none, nil
+	}
+	// applied closes a commit path's result: a published swap counts.
+	applied := func(tk rewind.Ticket, err error) (bool, rewind.Ticket, error) {
+		if err != nil {
+			return false, none, err
+		}
+		s.casApplied.Add(1)
+		return true, tk, nil
 	}
 	switch {
 	case eq && value != nil:
 		// Matched overwrite: the PR 7 fast path — one span write, no count
 		// change.
 		s.fastPath.Add(1)
-		err := s.commitLeafPath(sp, leaf, 0, span, func(tx *rewind.Tx) error {
+		return applied(s.commitLeafPath(sp, leaf, 0, span, func(tx *rewind.Tx) error {
 			return t.OverwriteInLeaf(tx, leaf, pos, s.encode(value))
-		})
-		if err != nil {
-			return false, err
-		}
-		s.casApplied.Add(1)
-		return true, nil
+		}))
 	case eq && t.LeafCanShrink(leaf):
 		// Matched delete, non-structural.
-		err := s.commitLeafPath(sp, leaf, -1, span, func(tx *rewind.Tx) error {
+		return applied(s.commitLeafPath(sp, leaf, -1, span, func(tx *rewind.Tx) error {
 			return t.DeleteInLeaf(tx, leaf, pos)
-		})
-		if err != nil {
-			return false, err
-		}
-		s.casApplied.Add(1)
-		return true, nil
+		}))
 	case !eq && value == nil:
 		// Expect-absent delete: already absent, nothing to mutate.
 		unlatch()
-		s.casApplied.Add(1)
-		return true, nil
+		return applied(none, nil)
 	case !eq && t.LeafHasRoom(leaf):
 		// Put-if-absent, non-structural.
-		err := s.commitLeafPath(sp, leaf, +1, span, func(tx *rewind.Tx) error {
+		return applied(s.commitLeafPath(sp, leaf, +1, span, func(tx *rewind.Tx) error {
 			return t.InsertInLeaf(tx, leaf, pos, key, s.encode(value))
-		})
-		if err != nil {
-			return false, err
-		}
-		s.casApplied.Add(1)
-		return true, nil
+		}))
 	}
 	// Structural (split or rebalance): restart on the stripe-exclusive tier
 	// and re-check there — the latches dropped, so the condition may have
 	// changed under a racing writer.
 	unlatch()
 	s.fallbacks.Add(1)
-	err := s.updatePinned(sp, span, func(tx *rewind.Tx) error {
+	tk, err := s.updatePinned(sp, span, func(tx *rewind.Tx) error {
 		addr, found := t.SeekRecord(key)
 		var cur []byte
 		if found {
@@ -189,11 +186,7 @@ func (s *Store) CompareAndSwapSpan(key uint64, expect, value []byte, span *obs.S
 		return err
 	})
 	if errors.Is(err, errCasStop) {
-		return false, nil
+		return false, none, nil
 	}
-	if err != nil {
-		return false, err
-	}
-	s.casApplied.Add(1)
-	return true, nil
+	return applied(tk, err)
 }

@@ -115,11 +115,12 @@ func (s *Store) CompactStep(cfg CompactConfig) (CompactResult, error) {
 		for {
 			var moved int
 			var done bool
-			err := s.updatePinned(sp, nil, func(tx *rewind.Tx) error {
+			tk, err := s.updatePinned(sp, nil, func(tx *rewind.Tx) error {
 				var err error
 				moved, done, err = sp.tree.MigrateRange(tx, best.Start, bestEnd, cfg.MaxMovesPerTxn)
 				return err
 			})
+			s.st.WaitDurable(tk, nil)
 			if err != nil {
 				return res, fmt.Errorf("kv: compacting stripe %d: %w", i, err)
 			}

@@ -25,11 +25,15 @@
 // fixed-size tree records as [length word | payload, zero-padded]; a whole
 // record is written with one WriteBytes span record.
 //
-// Durability: every mutation runs in its own REWIND transaction and
-// returns only after Commit — under Options.GroupCommit that means after
-// the shared round flush — so a Put/Delete/Batch that returned survives
-// any crash. Batch applies all its operations inside ONE transaction:
-// all-or-none, however many stripes it spans.
+// Durability: every mutation runs in its own REWIND transaction, in two
+// steps. The Publish* calls execute it and publish its commit — END record
+// in the stripe's log shard, writes visible, latches released — and return
+// a rewind.Ticket; WaitDurable(ticket) returns once a log flush covers it.
+// Put/Delete/Batch/CompareAndSwap are the two back to back, so one that
+// returned survives any crash; a caller with several mutations in flight
+// (the server's connection loop) publishes them all and waits afterwards,
+// and they share one flush. Batch applies all its operations inside ONE
+// transaction: all-or-none, however many stripes it spans.
 //
 // Reads are latch-free (DESIGN.md §6): each stripe carries a seqlock-style
 // counter — packed as version<<32 | active-writer-count, sound under any
@@ -100,8 +104,8 @@ type Config struct {
 	SerialWrites bool
 	// Obs, when non-nil, records kv-level latch-wait time into the
 	// commit-pipeline phase histograms and lets the span-taking write
-	// variants (PutSpan, DeleteSpan, BatchSpan) attribute their phase
-	// timings. Normally the same *obs.Obs as rewind.Options.Obs so the
+	// calls (PutSpan, DeleteSpan, the Publish* family) attribute their
+	// phase timings. Normally the same *obs.Obs as rewind.Options.Obs so the
 	// whole stack shares one registry. Volatile — not part of the durable
 	// shape; nil costs one pointer test per write.
 	Obs *obs.Obs
@@ -157,22 +161,30 @@ const writerMask = (1 << 32) - 1
 //     and bumps the version as each one leaves, so an optimistic reader's
 //     full-word compare catches both an active overlap and a completed
 //     writer that passed entirely between its two loads.
-//   - pending counts transactions published (tree writes visible, latches
-//     released) whose commit has not yet returned durable. Multi-stripe
-//     transactions — whose ENDs land on one arbitrary shard rather than
-//     the stripe's pinned one — drain it to zero before reading, restoring
-//     the cross-shard dependency barrier that shard pinning provides for
-//     free within a stripe.
 //   - shard is the pinned log shard (stripe index % LogShards): all
 //     single-stripe commits of this stripe log there, making recovery's
 //     winner set a prefix of the stripe's commit order (rewind.BeginOn).
+//   - lastSeq is the ticket Seq of the stripe's newest published
+//     single-stripe commit (tree writes visible, latches released, maybe
+//     not yet durable), stored by the publish hook — which runs under the
+//     pinned shard's mutex, so in ticket order, and while the committer
+//     still holds wmu. Multi-stripe transactions — whose ENDs land on one
+//     arbitrary shard rather than the stripe's pinned one — wait for it to
+//     be durable before reading, restoring the cross-shard dependency
+//     barrier that shard pinning provides for free within a stripe.
 type stripe struct {
 	wmu     sync.RWMutex
 	seq     atomic.Uint64
 	tree    *btree.Tree
 	latches *btree.LatchTable
-	pending atomic.Int64
 	shard   int
+	lastSeq atomic.Uint64
+}
+
+// lastPublished is the ticket covering every commit the stripe has
+// published.
+func (sp *stripe) lastPublished() rewind.Ticket {
+	return rewind.Ticket{Shard: sp.shard, Seq: sp.lastSeq.Load()}
 }
 
 // enterWrite opens the stripe's write window: active-writer count +1.
@@ -357,11 +369,13 @@ func (s *Store) encode(v []byte) []byte {
 // shard, so nothing that depends on its writes may be admitted until it is
 // durable (the per-stripe prefix guarantee does not cover it).
 //
-// Symmetrically, fn must not read any stripe state until the stripe's
-// published-but-undurable pipeline (pending) has drained: those ENDs live
-// on the stripe's pinned shard, and a crash could keep this transaction
-// while dropping them. The drain is the cross-shard half of the dependency
-// barrier; see DESIGN.md §8.
+// Symmetrically, fn must not read any stripe state until every commit the
+// stripe has published is durable: those ENDs live on the stripe's pinned
+// shard, and a crash could keep this transaction while dropping them.
+// Waiting on the stripe's last ticket is the cross-shard half of the
+// dependency barrier (DESIGN.md §8) — and since nobody else may be waiting
+// on those tickets yet (a connection that pipelined PUTs and then sent this
+// very batch), the wait leads the flush itself if it has to.
 //
 // Closing the seqlock before the commit flush means a concurrent reader
 // may return a value up to one commit latency before the writer's own ack
@@ -380,9 +394,7 @@ func (s *Store) update(stripes []int, span *obs.Span, fn func(tx *rewind.Tx) err
 		}
 	}()
 	for _, i := range stripes {
-		for s.stripes[i].pending.Load() != 0 {
-			runtime.Gosched()
-		}
+		s.st.WaitDurable(s.stripes[i].lastPublished(), span)
 	}
 	for _, i := range stripes {
 		s.stripes[i].enterWrite()
@@ -423,12 +435,13 @@ func (s *Store) update(stripes []int, span *obs.Span, fn func(tx *rewind.Tx) err
 // updatePinned runs fn inside one transaction pinned to sp's log shard,
 // with sp latched exclusive only until commit publish — the fine-grained
 // protocol's structural tier (splits/merges/root changes, and single-
-// stripe batches). Unlike update, the latch does NOT span the commit
-// wait: the pinned shard's FIFO flush order already guarantees that any
-// later same-stripe transaction — necessarily logged behind this one —
-// can only survive a crash if this one does, so dependent writers may be
-// admitted as soon as the END record is in the log.
-func (s *Store) updatePinned(sp *stripe, span *obs.Span, fn func(tx *rewind.Tx) error) error {
+// stripe batches) — and returns the published commit's ticket. Unlike
+// update, neither the latch nor the call spans the durability wait: the
+// pinned shard's FIFO flush order already guarantees that any later
+// same-stripe transaction — necessarily logged behind this one — can only
+// survive a crash if this one does, so dependent writers may be admitted
+// as soon as the END record is in the log.
+func (s *Store) updatePinned(sp *stripe, span *obs.Span, fn func(tx *rewind.Tx) error) (rewind.Ticket, error) {
 	lw := s.latchStart()
 	sp.wmu.Lock()
 	s.latchDone(lw, span)
@@ -442,15 +455,13 @@ func (s *Store) updatePinned(sp *stripe, span *obs.Span, fn func(tx *rewind.Tx) 
 	}
 	sp.enterWrite()
 	defer release()
-	published := false
-	err := s.st.AtomicOn(sp.shard, func(tx *rewind.Tx) error {
+	return s.st.PublishOn(sp.shard, func(tx *rewind.Tx) error {
 		tx.Observe(span)
 		if err := fn(tx); err != nil {
 			return err
 		}
 		tx.OnPublish(func() {
-			published = true
-			sp.pending.Add(1)
+			sp.lastSeq.Store(tx.Ticket().Seq)
 			if publishHook != nil {
 				publishHook()
 			}
@@ -458,23 +469,20 @@ func (s *Store) updatePinned(sp *stripe, span *obs.Span, fn func(tx *rewind.Tx) 
 		})
 		return nil
 	})
-	if published {
-		sp.pending.Add(-1)
-	}
-	return err
 }
 
-// commitLeafPath commits a single-leaf mutation on the fine-grained fast
-// path. On entry the caller holds sp.wmu shared and the leaf's latch; fn
-// performs the mutation and, when delta != 0, commitLeafPath brackets the
-// tree's record-count update with the header-count latch (hierarchy order:
-// leaf, then header; a bucket collision means the leaf latch already
-// covers the header and the second acquisition is skipped). Every latch —
-// leaf, header, wmu reader — releases at commit publish, after the END
-// record joined the stripe's pinned shard log and the writes are visible,
-// so the latch-hold span never contains a flush or fence and concurrent
-// same-stripe writers overlap their commit waits in shared group rounds.
-func (s *Store) commitLeafPath(sp *stripe, leaf uint64, delta int, span *obs.Span, fn func(tx *rewind.Tx) error) error {
+// commitLeafPath publishes a single-leaf mutation on the fine-grained fast
+// path and returns its ticket. On entry the caller holds sp.wmu shared and
+// the leaf's latch; fn performs the mutation and, when delta != 0,
+// commitLeafPath brackets the tree's record-count update with the
+// header-count latch (hierarchy order: leaf, then header; a bucket
+// collision means the leaf latch already covers the header and the second
+// acquisition is skipped). Every latch — leaf, header, wmu reader —
+// releases at commit publish, after the END record joined the stripe's
+// pinned shard log and the writes are visible, so the latch-hold span
+// never contains a flush or fence and concurrent same-stripe writers share
+// group rounds.
+func (s *Store) commitLeafPath(sp *stripe, leaf uint64, delta int, span *obs.Span, fn func(tx *rewind.Tx) error) (rewind.Ticket, error) {
 	t := sp.tree
 	hdrLatched := false
 	released := false
@@ -491,8 +499,7 @@ func (s *Store) commitLeafPath(sp *stripe, leaf uint64, delta int, span *obs.Spa
 	}
 	sp.enterWrite()
 	defer release()
-	published := false
-	err := s.st.AtomicOn(sp.shard, func(tx *rewind.Tx) error {
+	return s.st.PublishOn(sp.shard, func(tx *rewind.Tx) error {
 		tx.Observe(span)
 		if err := fn(tx); err != nil {
 			return err
@@ -510,8 +517,7 @@ func (s *Store) commitLeafPath(sp *stripe, leaf uint64, delta int, span *obs.Spa
 			}
 		}
 		tx.OnPublish(func() {
-			published = true
-			sp.pending.Add(1)
+			sp.lastSeq.Store(tx.Ticket().Seq)
 			if publishHook != nil {
 				publishHook()
 			}
@@ -519,10 +525,6 @@ func (s *Store) commitLeafPath(sp *stripe, leaf uint64, delta int, span *obs.Spa
 		})
 		return nil
 	})
-	if published {
-		sp.pending.Add(-1)
-	}
-	return err
 }
 
 // readValue copies a record's payload out of the arena: length word first,
@@ -661,15 +663,30 @@ func (s *Store) Put(key uint64, value []byte) error { return s.PutSpan(key, valu
 // its pipeline phase timings into span (and the shared histograms). A nil
 // span is exactly Put.
 func (s *Store) PutSpan(key uint64, value []byte, span *obs.Span) error {
+	t, err := s.PublishPut(key, value, span)
+	s.st.WaitDurable(t, span)
+	return err
+}
+
+// WaitDurable blocks until the published mutation t names is durable (see
+// rewind.Store.WaitDurable). The zero ticket — what the Publish* calls
+// return for a mutation that changed nothing or committed synchronously —
+// is durable already.
+func (s *Store) WaitDurable(t rewind.Ticket, span *obs.Span) { s.st.WaitDurable(t, span) }
+
+// PublishPut is Put up to commit publish: on return the value is visible
+// to every reader and ordered in its stripe's history, and survives a crash
+// once WaitDurable(ticket) has returned.
+func (s *Store) PublishPut(key uint64, value []byte, span *obs.Span) (rewind.Ticket, error) {
 	if len(value) > s.cfg.MaxValue {
-		return ErrValueTooLarge
+		return rewind.Ticket{}, ErrValueTooLarge
 	}
 	s.puts.Add(1)
 	rec := s.encode(value)
 	idx := s.stripeIndex(key)
 	sp := s.stripes[idx]
 	if s.cfg.SerialWrites {
-		return s.update([]int{idx}, span, func(tx *rewind.Tx) error {
+		return rewind.Ticket{}, s.update([]int{idx}, span, func(tx *rewind.Tx) error {
 			_, err := sp.tree.Insert(tx, key, rec)
 			return err
 		})
@@ -715,6 +732,13 @@ func (s *Store) Delete(key uint64) (bool, error) { return s.DeleteSpan(key, nil)
 
 // DeleteSpan is Delete with an observability span attached (see PutSpan).
 func (s *Store) DeleteSpan(key uint64, span *obs.Span) (bool, error) {
+	found, t, err := s.PublishDelete(key, span)
+	s.st.WaitDurable(t, span)
+	return found, err
+}
+
+// PublishDelete is Delete up to commit publish (see PublishPut).
+func (s *Store) PublishDelete(key uint64, span *obs.Span) (bool, rewind.Ticket, error) {
 	s.dels.Add(1)
 	idx := s.stripeIndex(key)
 	sp := s.stripes[idx]
@@ -725,7 +749,7 @@ func (s *Store) DeleteSpan(key uint64, span *obs.Span) (bool, error) {
 			found, err = sp.tree.Delete(tx, key)
 			return err
 		})
-		return found, err
+		return found, rewind.Ticket{}, err
 	}
 	t := sp.tree
 	lw := s.latchStart()
@@ -740,25 +764,25 @@ func (s *Store) DeleteSpan(key uint64, span *obs.Span) (bool, error) {
 		// Absent: no transaction, no log traffic.
 		sp.latches.Unlock(leaf)
 		sp.wmu.RUnlock()
-		return false, nil
+		return false, rewind.Ticket{}, nil
 	}
 	if t.LeafCanShrink(leaf) {
-		err := s.commitLeafPath(sp, leaf, -1, span, func(tx *rewind.Tx) error {
+		tk, err := s.commitLeafPath(sp, leaf, -1, span, func(tx *rewind.Tx) error {
 			return t.DeleteInLeaf(tx, leaf, pos)
 		})
-		return err == nil, err
+		return err == nil, tk, err
 	}
 	// Underflow: the delete rebalances. Restart on the structural tier.
 	sp.latches.Unlock(leaf)
 	sp.wmu.RUnlock()
 	s.fallbacks.Add(1)
 	found := false
-	err := s.updatePinned(sp, span, func(tx *rewind.Tx) error {
+	tk, err := s.updatePinned(sp, span, func(tx *rewind.Tx) error {
 		var err error
 		found, err = t.Delete(tx, key)
 		return err
 	})
-	return found, err
+	return found, tk, err
 }
 
 // Pair is one key/value result.
@@ -855,19 +879,26 @@ type Op struct {
 // batch whose keys all land in ONE stripe skips the multi-stripe protocol
 // entirely and commits on that stripe's pinned shard, releasing the
 // stripe at publish like any other single-stripe write.
-func (s *Store) Batch(ops []Op) error { return s.BatchSpan(ops, nil) }
+func (s *Store) Batch(ops []Op) error {
+	t, err := s.PublishBatch(ops, nil)
+	s.st.WaitDurable(t, nil)
+	return err
+}
 
-// BatchSpan is Batch with an observability span attached (see PutSpan).
-func (s *Store) BatchSpan(ops []Op, span *obs.Span) error {
+// PublishBatch is Batch up to commit publish (see PublishPut) for a batch
+// confined to one stripe. A batch spanning stripes commits through the
+// exclusive multi-stripe path, which is synchronous: PublishBatch then
+// returns only once the batch is durable, with the zero ticket.
+func (s *Store) PublishBatch(ops []Op, span *obs.Span) (rewind.Ticket, error) {
 	if len(ops) == 0 {
-		return nil
+		return rewind.Ticket{}, nil
 	}
 	s.batches.Add(1)
 	// Collect the involved stripes in ascending index order.
 	involved := map[uint64]bool{}
 	for _, op := range ops {
 		if !op.Delete && len(op.Value) > s.cfg.MaxValue {
-			return ErrValueTooLarge
+			return rewind.Ticket{}, ErrValueTooLarge
 		}
 		involved[op.Key%uint64(len(s.stripes))] = true
 	}
@@ -894,7 +925,7 @@ func (s *Store) BatchSpan(ops []Op, span *obs.Span) error {
 	if len(idx) == 1 && !s.cfg.SerialWrites {
 		return s.updatePinned(s.stripes[idx[0]], span, apply)
 	}
-	return s.update(idx, span, apply)
+	return rewind.Ticket{}, s.update(idx, span, apply)
 }
 
 // Len returns the total number of keys across all stripes. It reads each

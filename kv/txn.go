@@ -213,7 +213,9 @@ func (t *Txn) CommitSpan(span *obs.Span) error {
 	}
 	var err error
 	if len(idx) == 1 && !s.cfg.SerialWrites {
-		err = s.updatePinned(s.stripes[idx[0]], span, apply)
+		var tk rewind.Ticket
+		tk, err = s.updatePinned(s.stripes[idx[0]], span, apply)
+		s.st.WaitDurable(tk, span)
 	} else {
 		err = s.update(idx, span, apply)
 	}

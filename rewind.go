@@ -136,24 +136,27 @@ type Options struct {
 	// contend, which is what multi-goroutine commit throughput scales
 	// with; see core.Config.LogShards. TwoLayer requires LogShards <= 1.
 	LogShards int
-	// GroupCommit merges commits from concurrent goroutines into shared
-	// log flushes: the first committer leads a round, gathers everyone who
-	// commits within GroupCommitWindow (or until GroupCommitMax join), and
-	// issues one flush + fence for all of them. Commit still returns only
-	// after the flush covering its END record, so acknowledged commits
-	// survive crashes exactly as before — the fence bill is just split
-	// across the round. Requires the default OneLayer + Batch + NoForce
-	// configuration; see core.Config.GroupCommit.
+	// GroupCommit merges commits into shared log flushes: publishing a
+	// commit (Tx.Publish, or the first half of Commit/Atomic) appends its
+	// END record and hands back a Ticket; WaitDurable finds the ticket
+	// already covered by somebody's flush or joins/leads a round that
+	// issues one flush + fence for every commit published by then. Commit
+	// still returns only after the flush covering its END record, so
+	// acknowledged commits survive crashes exactly as before — the fence
+	// bill is just split, across goroutines and across one goroutine's
+	// unwaited tickets alike. Requires the default OneLayer + Batch +
+	// NoForce configuration; see core.Config.GroupCommit.
 	GroupCommit bool
-	// GroupCommitWindow bounds the leader's wait for joiners (default
-	// 100µs; negative skips the wait, batching only what arrives while
-	// the leader acquires the shard and flushes). The wait is adaptive:
-	// with no sign of concurrency the leader flushes immediately and
-	// probes with a full window only every 16th solo round, so a lone
-	// sequential client pays ~window/16 average added latency; see
-	// core.Config.GroupCommitWindow.
+	// GroupCommitWindow bounds a round leader's wait for more waiters
+	// (default 100µs; negative skips the wait, batching only what is
+	// published by the time the leader holds the shard). The leader sleeps
+	// it only when every commit the round covers has its own waiter — the
+	// many-callers, one-commit-each shape — and another waiter, a
+	// transaction mid-flight or the previous round's company says more are
+	// coming; a lone commit, or a caller waiting on a pipelined burst,
+	// flushes at once. See core.Config.GroupCommitWindow.
 	GroupCommitWindow time.Duration
-	// GroupCommitMax closes a round early at this many commits (default 64).
+	// GroupCommitMax closes a round early at this many waiters (default 64).
 	GroupCommitMax int
 	// RecoveryWorkers is the number of goroutines the recovery pass at Open
 	// uses for its per-shard analysis and redo phases (non-positive: one

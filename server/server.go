@@ -1,17 +1,26 @@
 // Package server exposes a kv.Store over TCP — the rewindd service layer.
 //
 // The protocol (internal/wire) is length-prefixed binary: GET / PUT / DEL /
-// SCAN / BATCH / STATS frames with a client-chosen request id. Each
-// accepted connection gets one goroutine that decodes frames, applies them
-// to the store, and answers in arrival order; clients may pipeline as many
-// requests as they like. Cross-connection parallelism is the point: many
-// connections committing at once is exactly the shape the store's
-// group-commit rounds merge into shared log flushes, so the durability ack
+// SCAN / BATCH / STATS (and transaction, CAS and chunked-read) frames with
+// a client-chosen request id. Each accepted connection gets one goroutine
+// that runs every frame through execute → publish → durable → reply and
+// answers in arrival order; clients may pipeline as many requests as they
+// like, and pipelining pays: the loop executes and PUBLISHES every frame
+// already in its read buffer — each mutation's commit joins the log and
+// becomes visible, and kv hands back a ticket instead of waiting — before
+// it waits for any of them to be durable, so a burst of N mutations on one
+// socket shares one log flush the way N connections committing at once do.
+// Both shapes end in the same group-commit rounds and the durability ack
 // each PUT waits for costs a fraction of a fence.
 //
-// An acknowledged mutation is durable before its response frame is
-// written: the handler only builds the OK frame after kv returns, and kv
-// returns after the commit's covering flush.
+// The ack rule: no response to a mutation is handed to the socket before
+// its ticket is durable (Server.release is the one place that waits), and
+// responses leave strictly in arrival order, so a read's reply — which may
+// carry a value that is published but not yet durable, its own
+// connection's included — is still held behind every earlier mutation on
+// its connection. Ops that commit through kv's exclusive multi-stripe path
+// (a cross-stripe BATCH, an interactive COMMIT) are synchronous and simply
+// act as a barrier in the burst.
 package server
 
 import (
@@ -24,6 +33,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/rewind-db/rewind"
 	"github.com/rewind-db/rewind/internal/obs"
@@ -232,8 +242,22 @@ func (s *Server) handleConn(c net.Conn) {
 		s.trackFlight(c, fr)
 		defer s.untrackFlight(c)
 	}
+	// The pipeline: every frame already in the read buffer is executed
+	// and PUBLISHED before anything waits for durability, so one
+	// connection's burst of mutations lands in the log back to back and the
+	// first wait's flush covers them all — the fan-in a group-commit round
+	// needs, supplied by a single socket. out holds the executed frames'
+	// responses in arrival order and pend their requests; nothing in out
+	// reaches the socket until every request before it has been released,
+	// which for a mutation means its ticket is durable. Both are bounded
+	// (maxBurst requests, about bufSize bytes) and reused, burst after burst.
 	var out []byte
+	pend := make([]request, 0, maxBurst)
 	for {
+		// This read can fail only while pend is empty: the loop comes back
+		// here without releasing only when the next frame is wholly
+		// buffered, and reading a wholly buffered frame cannot fail. A read
+		// error therefore never strands an executed request's reply.
 		id, op, body, err := wire.ReadFrame(br)
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
@@ -242,21 +266,39 @@ func (s *Server) handleConn(c net.Conn) {
 			return
 		}
 		s.requests.Add(1)
-		out = s.applyConn(cs, out[:0], id, op, body, fr)
+		rq := s.startRequest(op)
+		out = s.applyConn(cs, out, id, op, body, &rq)
+		more := frameBuffered(br)
+		if rq.span != nil && (more || len(pend) > 0) {
+			rq.executed = time.Now() // part of a burst: its reply will queue
+		}
+		pend = append(pend, rq)
+		if more && len(pend) < maxBurst && len(out) < bufSize {
+			continue
+		}
+		for i := range pend {
+			s.release(&pend[i], fr)
+		}
+		pend = pend[:0]
 		if _, err := bw.Write(out); err != nil {
 			return
 		}
+		out = out[:0]
 		// Flush before blocking on the next read unless a COMPLETE next
-		// frame is already buffered: a pipelined burst is answered with
-		// one writev-sized flush, while a partial frame (a client that
-		// writes in pieces) never holds an ack hostage.
-		if !frameBuffered(br) {
+		// frame is already buffered: a burst longer than maxBurst is
+		// answered with writev-sized flushes, while a partial frame (a
+		// client that writes in pieces) never holds an ack hostage.
+		if !more {
 			if err := bw.Flush(); err != nil {
 				return
 			}
 		}
 	}
 }
+
+// maxBurst bounds how many executed requests one connection may hold
+// unreleased: the depth of pipelining that can share one durability wait.
+const maxBurst = 64
 
 // frameBuffered reports whether br already holds one whole frame.
 func frameBuffered(br *bufio.Reader) bool {
@@ -279,7 +321,10 @@ func frameBuffered(br *bufio.Reader) bool {
 // sockets, which is what the deterministic crash tests drive directly;
 // transaction ops run against a shared fallback connection state.
 func (s *Server) apply(dst []byte, id uint32, op byte, body []byte) []byte {
-	return s.applyConn(s.defaultConnState(), dst, id, op, body, nil)
+	rq := s.startRequest(op)
+	dst = s.applyConn(s.defaultConnState(), dst, id, op, body, &rq)
+	s.release(&rq, nil)
+	return dst
 }
 
 // opKind maps a wire op byte to its observability class.
@@ -324,18 +369,55 @@ func setKey(span *obs.Span, key uint64) {
 	}
 }
 
-// applyConn is the full per-frame data path: decode, apply against the
-// store (transaction ops resolve their handles through cs), append the
-// response frame. Observability: a span brackets the whole request
-// (device-time attribution from the virtual clock), mutating ops thread
-// it into the commit pipeline, and the finished span lands in the
-// connection's flight ring and, past the threshold, the slow-op log.
-func (s *Server) applyConn(cs *connState, dst []byte, id uint32, op byte, body []byte, fr *obs.Flight) []byte {
-	span := s.obs.StartSpan(opKind(op), 0)
-	if span != nil {
-		sim0 := s.kv.Rewind().SimNS()
-		defer func() { s.obs.FinishSpan(span, s.kv.Rewind().SimNS()-sim0, fr) }()
+// request is one frame's passage through the connection pipeline: execute
+// → publish (ticket) → durable → reply. The span brackets all of it — frame
+// in to reply released — so the op latency histograms, the flight ring and
+// the slow-op log keep meaning "durable ack out".
+type request struct {
+	span     *obs.Span     // nil when observability is off
+	sim0     int64         // device clock at frame in
+	ticket   rewind.Ticket // what the reply waits for; zero: nothing
+	executed time.Time     // end of execution, for a request inside a burst
+}
+
+// startRequest opens the span for one incoming frame.
+func (s *Server) startRequest(op byte) request {
+	rq := request{span: s.obs.StartSpan(opKind(op), 0)}
+	if rq.span != nil {
+		rq.sim0 = s.kv.Rewind().SimNS()
 	}
+	return rq
+}
+
+// release waits until rq's mutation is durable — the one rule the reply
+// path may not bend: no reply for a mutation is handed to the socket
+// before its ticket is durable — and closes the span into fr. The wait's
+// gather and flush+fence phases land on the request that waited; a
+// request released as part of a burst is first charged its time in the
+// queue.
+func (s *Server) release(rq *request, fr *obs.Flight) {
+	if !rq.executed.IsZero() {
+		// Reads included: a GET behind outstanding writes answers in order,
+		// and the time that costs it is on its span, not hidden.
+		s.obs.PhaseNs(rq.span, obs.PhaseReplyQueue, time.Since(rq.executed).Nanoseconds(), 0)
+	}
+	s.kv.WaitDurable(rq.ticket, rq.span)
+	if rq.span != nil {
+		s.obs.FinishSpan(rq.span, s.kv.Rewind().SimNS()-rq.sim0, fr)
+	}
+}
+
+// applyConn executes one frame: decode, apply against the store
+// (transaction ops resolve their handles through cs), append the response
+// frame to dst. A mutation that commits on a single stripe is only
+// PUBLISHED when applyConn returns — visible, ordered, not yet durable —
+// and rq.ticket says what the response must wait for before it may be
+// released; every other op leaves the zero ticket (reads have nothing to
+// wait for, and ops that commit through kv's exclusive multi-stripe path —
+// a cross-stripe BATCH, an interactive COMMIT — are durable on return).
+// Mutating ops thread rq.span into the commit pipeline.
+func (s *Server) applyConn(cs *connState, dst []byte, id uint32, op byte, body []byte, rq *request) []byte {
+	span := rq.span
 	r := &wire.Reader{B: body}
 	fail := func(err error) []byte {
 		s.errored.Add(1)
@@ -372,7 +454,7 @@ func (s *Server) applyConn(cs *connState, dst []byte, id uint32, op byte, body [
 		if err != nil {
 			return fail(err)
 		}
-		if err := s.kv.PutSpan(key, v, span); err != nil {
+		if rq.ticket, err = s.kv.PublishPut(key, v, span); err != nil {
 			return fail(err)
 		}
 		return wire.AppendFrame(dst, id, wire.StatusOK, nil)
@@ -383,8 +465,8 @@ func (s *Server) applyConn(cs *connState, dst []byte, id uint32, op byte, body [
 			return fail(err)
 		}
 		setKey(span, key)
-		found, err := s.kv.DeleteSpan(key, span)
-		if err != nil {
+		var found bool
+		if found, rq.ticket, err = s.kv.PublishDelete(key, span); err != nil {
 			return fail(err)
 		}
 		b := byte(0)
@@ -441,7 +523,7 @@ func (s *Server) applyConn(cs *connState, dst []byte, id uint32, op byte, body [
 		if err != nil {
 			return fail(err)
 		}
-		if err := s.kv.BatchSpan(ops, span); err != nil {
+		if rq.ticket, err = s.kv.PublishBatch(ops, span); err != nil {
 			return fail(err)
 		}
 		return wire.AppendFrame(dst, id, wire.StatusOK, nil)
@@ -616,8 +698,8 @@ func (s *Server) applyConn(cs *connState, dst []byte, id uint32, op byte, body [
 				value = []byte{}
 			}
 		}
-		swapped, err := s.kv.CompareAndSwapSpan(key, expect, value, span)
-		if err != nil {
+		var swapped bool
+		if swapped, rq.ticket, err = s.kv.PublishCAS(key, expect, value, span); err != nil {
 			return fail(err)
 		}
 		b := byte(0)

@@ -129,7 +129,8 @@ func (tx *Tx) Free(addr uint64) error {
 	return tx.h.Delete(addr)
 }
 
-// Commit ends the transaction, making its updates durable (§4.3).
+// Commit ends the transaction, making its updates durable (§4.3): Publish,
+// then WaitDurable on the ticket.
 func (tx *Tx) Commit() error {
 	if err := tx.active(); err != nil {
 		return err
@@ -137,6 +138,38 @@ func (tx *Tx) Commit() error {
 	tx.done = true
 	return tx.h.Commit()
 }
+
+// Ticket names one published commit; Store.WaitDurable turns it into a
+// durability guarantee. A plain value, free to copy, compare and drop: a
+// ticket nobody waits on costs nothing and its commit becomes durable with
+// the next flush of its log shard anyway. The zero Ticket is already
+// durable.
+type Ticket = core.Ticket
+
+// Publish ends the transaction without waiting for durability: its END
+// record joins its shard's log (fixing its place in the commit order), the
+// OnPublish hook fires, and the returned ticket names the flush still owed.
+// The transaction's writes are visible to everyone from here on; they
+// survive a crash only once WaitDurable(ticket) has returned. Outside
+// Options.GroupCommit the END is flushed here and the ticket is born
+// durable.
+func (tx *Tx) Publish() (Ticket, error) {
+	if err := tx.active(); err != nil {
+		return Ticket{}, err
+	}
+	tx.done = true
+	return tx.h.Publish()
+}
+
+// Ticket returns the transaction's commit ticket, valid from the OnPublish
+// hook onward (the zero Ticket before).
+func (tx *Tx) Ticket() Ticket { return tx.h.Ticket() }
+
+// WaitDurable blocks until the commit t names is durable. It returns at
+// once when a flush already covered it — whoever asked for that flush —
+// and otherwise joins or leads the log shard's group-commit round. span,
+// when non-nil, is charged the wait's gather and flush+fence phases.
+func (s *Store) WaitDurable(t Ticket, span *obs.Span) { s.tm.WaitDurable(t, span) }
 
 // Rollback aborts the transaction, restoring every logged location to its
 // previous value (§4.4).
@@ -155,15 +188,22 @@ func (tx *Tx) Rollback() error {
 // that lost power cannot run a rollback, and the recovery at the next Open
 // aborts the transaction instead.
 func (s *Store) Atomic(fn func(tx *Tx) error) error {
-	return runAtomic(s.Begin(), fn)
+	tx := s.Begin()
+	_, err := runAtomic(tx, fn)
+	if err == nil {
+		tx.h.WaitDurable()
+	}
+	return err
 }
 
-// AtomicOn is Atomic with the transaction pinned to a log shard (BeginOn).
-func (s *Store) AtomicOn(shard int, fn func(tx *Tx) error) error {
+// PublishOn is Atomic pinned to a log shard (BeginOn) and without the
+// durability wait: a nil return from fn publishes the transaction and
+// hands back its ticket for WaitDurable.
+func (s *Store) PublishOn(shard int, fn func(tx *Tx) error) (Ticket, error) {
 	return runAtomic(s.BeginOn(shard), fn)
 }
 
-func runAtomic(tx *Tx, fn func(tx *Tx) error) error {
+func runAtomic(tx *Tx, fn func(tx *Tx) error) (Ticket, error) {
 	defer func() {
 		if v := recover(); v != nil {
 			if !tx.done && !nvm.IsCrash(v) {
@@ -176,9 +216,9 @@ func runAtomic(tx *Tx, fn func(tx *Tx) error) error {
 	}()
 	if err := fn(tx); err != nil {
 		if rbErr := tx.Rollback(); rbErr != nil {
-			return fmt.Errorf("rewind: rollback failed: %v (after %w)", rbErr, err)
+			return Ticket{}, fmt.Errorf("rewind: rollback failed: %v (after %w)", rbErr, err)
 		}
-		return err
+		return Ticket{}, err
 	}
-	return tx.Commit()
+	return tx.Publish()
 }
