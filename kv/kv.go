@@ -32,8 +32,12 @@
 // Put/Delete/Batch/CompareAndSwap are the two back to back, so one that
 // returned survives any crash; a caller with several mutations in flight
 // (the server's connection loop) publishes them all and waits afterwards,
-// and they share one flush. Batch applies all its operations inside ONE
-// transaction: all-or-none, however many stripes it spans.
+// and they share one flush. Only overwrites of existing keys come back
+// not yet durable: a mutation that changes a stripe's record count or
+// shape (insert, delete, single-stripe batch) is waited for before its
+// Publish* call returns, and its ticket is durable already. Batch applies
+// all its operations inside ONE transaction: all-or-none, however many
+// stripes it spans.
 //
 // Reads are latch-free (DESIGN.md §6): each stripe carries a seqlock-style
 // counter — packed as version<<32 | active-writer-count, sound under any
@@ -435,12 +439,13 @@ func (s *Store) update(stripes []int, span *obs.Span, fn func(tx *rewind.Tx) err
 // updatePinned runs fn inside one transaction pinned to sp's log shard,
 // with sp latched exclusive only until commit publish — the fine-grained
 // protocol's structural tier (splits/merges/root changes, and single-
-// stripe batches) — and returns the published commit's ticket. Unlike
-// update, neither the latch nor the call spans the durability wait: the
-// pinned shard's FIFO flush order already guarantees that any later
-// same-stripe transaction — necessarily logged behind this one — can only
-// survive a crash if this one does, so dependent writers may be admitted
-// as soon as the END record is in the log.
+// stripe batches) — and returns the commit's ticket, durable already: like
+// every commit that changes a stripe's record count, these are waited for
+// here rather than pipelined (commitLeafPath says why). Unlike update, the
+// latch does not span that wait: the pinned shard's FIFO flush order
+// already guarantees that any later same-stripe transaction — necessarily
+// logged behind this one — can only survive a crash if this one does, so
+// dependent writers are admitted as soon as the END record is in the log.
 func (s *Store) updatePinned(sp *stripe, span *obs.Span, fn func(tx *rewind.Tx) error) (rewind.Ticket, error) {
 	lw := s.latchStart()
 	sp.wmu.Lock()
@@ -455,7 +460,7 @@ func (s *Store) updatePinned(sp *stripe, span *obs.Span, fn func(tx *rewind.Tx) 
 	}
 	sp.enterWrite()
 	defer release()
-	return s.st.PublishOn(sp.shard, func(tx *rewind.Tx) error {
+	tk, err := s.st.PublishOn(sp.shard, func(tx *rewind.Tx) error {
 		tx.Observe(span)
 		if err := fn(tx); err != nil {
 			return err
@@ -469,6 +474,8 @@ func (s *Store) updatePinned(sp *stripe, span *obs.Span, fn func(tx *rewind.Tx) 
 		})
 		return nil
 	})
+	s.st.WaitDurable(tk, span) // shape-changing: not pipelined (see commitLeafPath)
+	return tk, err
 }
 
 // commitLeafPath publishes a single-leaf mutation on the fine-grained fast
@@ -482,6 +489,19 @@ func (s *Store) updatePinned(sp *stripe, span *obs.Span, fn func(tx *rewind.Tx) 
 // pinned shard log and the writes are visible, so the latch-hold span
 // never contains a flush or fence and concurrent same-stripe writers share
 // group rounds.
+//
+// What the CALLER may pipeline is narrower: only an in-place overwrite
+// (delta == 0) comes back published-but-not-durable. An insert or a delete
+// is waited for here, after the latches are gone, and its ticket is
+// durable on return — so a connection has at most one of them in flight,
+// as before tickets existed, while any number of overwrites ride one
+// flush. The reason is measured, not structural (nothing in recovery
+// needs it): with inserts and deletes pipelined a 2x16 closed loop of them
+// leaves the gather window out of its cycle and runs as fast as two CPUs
+// hand work to each other — about nine times faster on average and
+// anywhere within +-15 % of that from one second to the next, which no
+// throughput gate can hold. Lifting it is deleting the wait below and the
+// one in updatePinned; ROADMAP.md has the numbers to beat.
 func (s *Store) commitLeafPath(sp *stripe, leaf uint64, delta int, span *obs.Span, fn func(tx *rewind.Tx) error) (rewind.Ticket, error) {
 	t := sp.tree
 	hdrLatched := false
@@ -499,7 +519,7 @@ func (s *Store) commitLeafPath(sp *stripe, leaf uint64, delta int, span *obs.Spa
 	}
 	sp.enterWrite()
 	defer release()
-	return s.st.PublishOn(sp.shard, func(tx *rewind.Tx) error {
+	tk, err := s.st.PublishOn(sp.shard, func(tx *rewind.Tx) error {
 		tx.Observe(span)
 		if err := fn(tx); err != nil {
 			return err
@@ -525,6 +545,10 @@ func (s *Store) commitLeafPath(sp *stripe, leaf uint64, delta int, span *obs.Spa
 		})
 		return nil
 	})
+	if delta != 0 {
+		s.st.WaitDurable(tk, span)
+	}
+	return tk, err
 }
 
 // readValue copies a record's payload out of the arena: length word first,
@@ -676,7 +700,8 @@ func (s *Store) WaitDurable(t rewind.Ticket, span *obs.Span) { s.st.WaitDurable(
 
 // PublishPut is Put up to commit publish: on return the value is visible
 // to every reader and ordered in its stripe's history, and survives a crash
-// once WaitDurable(ticket) has returned.
+// once WaitDurable(ticket) has returned. Only an overwrite returns ahead of
+// its flush; a Put that inserts the key has been waited for.
 func (s *Store) PublishPut(key uint64, value []byte, span *obs.Span) (rewind.Ticket, error) {
 	if len(value) > s.cfg.MaxValue {
 		return rewind.Ticket{}, ErrValueTooLarge

@@ -322,3 +322,63 @@ func runOverwriteCrashPoint(t *testing.T, mode rewind.CommitMode, point int) (su
 	}
 	return !crashed
 }
+
+// TestOnlyOverwritesPipeline pins which mutations leave kv ahead of their
+// flush: overwrites of existing keys publish and return — four of them cost
+// no fence until somebody waits, and then one — while a Put that inserts
+// and a Delete that removes have been waited for when they return.
+func TestOnlyOverwritesPipeline(t *testing.T) {
+	// GroupSize as the daemon sets it, so the log's own record-count flush
+	// stays out of the fence counts below.
+	st, err := rewind.Open(rewind.Options{ArenaSize: 32 << 20, GroupCommit: true, GroupSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Create(st, Config{Stripes: 1, MaxValue: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(1); k <= 4; k++ {
+		if err := s.Put(k, []byte("old")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fences := func() int64 { return s.Rewind().Stats().Fences }
+
+	f0 := fences()
+	var last rewind.Ticket
+	for k := uint64(1); k <= 4; k++ {
+		tk, err := s.PublishPut(k, []byte("new"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = tk
+	}
+	if got := fences() - f0; got != 0 {
+		t.Fatalf("4 published overwrites issued %d fences before anybody waited", got)
+	}
+	s.WaitDurable(last, nil)
+	if got := fences() - f0; got != 1 {
+		t.Fatalf("4 pipelined overwrites cost %d fences, want 1", got)
+	}
+
+	f0 = fences()
+	tk, err := s.PublishPut(5, []byte("fresh"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fences() == f0 {
+		t.Fatal("an inserting Put came back before its flush")
+	}
+	f0 = fences()
+	if s.WaitDurable(tk, nil); fences() != f0 {
+		t.Fatal("an inserting Put's ticket was not durable on return")
+	}
+	if found, tk, err := s.PublishDelete(5, nil); err != nil || !found {
+		t.Fatalf("PublishDelete(5) = %v, %v", found, err)
+	} else if f1 := fences(); f1 == f0 {
+		t.Fatal("a removing Delete came back before its flush")
+	} else if s.WaitDurable(tk, nil); fences() != f1 {
+		t.Fatal("a removing Delete's ticket was not durable on return")
+	}
+}

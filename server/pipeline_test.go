@@ -102,14 +102,15 @@ func casFrame(id uint32, key uint64, expect, val string) []byte {
 
 // TestPipelinedPutsThenCrossStripeBatch is the regression test for the
 // drain kv.update performs before a multi-stripe transaction: one
-// connection pipelines 16 PUTs to stripe 0 and, in the same burst, a BATCH
-// spanning stripes 0 and 1. Nobody has waited on the PUTs' tickets when the
+// connection pipelines 16 PUTs to stripe 0 (overwrites — kv waits for an
+// insert itself) and, in the same burst, a BATCH spanning stripes 0 and 1.
+// Nobody has waited on the PUTs' tickets when the
 // BATCH executes — their replies are queued behind it on the very
 // connection that is executing it — so a drain that waits for the
 // committers to come back from their own waits (the old pending counter and
 // Gosched spin) never ends. The drain must lead the flush itself.
 func TestPipelinedPutsThenCrossStripeBatch(t *testing.T) {
-	_, addr := startServer(t, true) // 8 stripes: key%8 is the stripe
+	srv, addr := startServer(t, true) // 8 stripes: key%8 is the stripe
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +119,11 @@ func TestPipelinedPutsThenCrossStripeBatch(t *testing.T) {
 
 	var burst []byte
 	for i := 0; i < 16; i++ {
-		burst = append(burst, putFrame(uint32(i+1), uint64(8*(i+1)), fmt.Sprintf("v%d", i))...)
+		key := uint64(8 * (i + 1))
+		if err := srv.KV().Put(key, []byte("old")); err != nil {
+			t.Fatal(err)
+		}
+		burst = append(burst, putFrame(uint32(i+1), key, fmt.Sprintf("v%d", i))...)
 	}
 	batch := wire.AppendU32(nil, 2)
 	batch = append(batch, 0)
@@ -155,7 +160,8 @@ func TestPipelinedPutsThenCrossStripeBatch(t *testing.T) {
 // outstanding writes waits its turn and says so — and the durability wait
 // must land on the request that actually waited: the first PUT leads the
 // flush (flush_fence on its span), the PUTs behind it find the mark past
-// their tickets and record no gather or flush at all.
+// their tickets and record no gather or flush at all. The PUTs overwrite
+// keys stored beforehand: only overwrites leave kv ahead of their flush.
 func TestPipelineSpansFinishAtRelease(t *testing.T) {
 	o := obs.New(obs.NewRegistry(), obs.Config{SlowOp: time.Nanosecond, Logf: func(string, ...any) {}})
 	st, err := rewind.Open(rewind.Options{ArenaSize: 32 << 20, GroupCommit: true, Obs: o})
@@ -165,6 +171,11 @@ func TestPipelineSpansFinishAtRelease(t *testing.T) {
 	kvs, err := kv.Create(st, kv.Config{Stripes: 4, MaxValue: 64, Obs: o})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for key := uint64(11); key <= 13; key++ {
+		if err := kvs.Put(key, []byte("old")); err != nil {
+			t.Fatal(err)
+		}
 	}
 	burst := append(putFrame(1, 11, "a"), putFrame(2, 12, "b")...)
 	burst = append(burst, putFrame(3, 13, "c")...)

@@ -18,9 +18,10 @@
 // responses leave strictly in arrival order, so a read's reply — which may
 // carry a value that is published but not yet durable, its own
 // connection's included — is still held behind every earlier mutation on
-// its connection. Ops that commit through kv's exclusive multi-stripe path
-// (a cross-stripe BATCH, an interactive COMMIT) are synchronous and simply
-// act as a barrier in the burst.
+// its connection. What pipelines is the overwrite of an existing key; kv
+// waits for everything else before it returns — a PUT that inserts, a DEL
+// that removes, a BATCH, an interactive COMMIT — and such a frame simply
+// acts as a barrier in the burst.
 package server
 
 import (
@@ -409,13 +410,14 @@ func (s *Server) release(rq *request, fr *obs.Flight) {
 
 // applyConn executes one frame: decode, apply against the store
 // (transaction ops resolve their handles through cs), append the response
-// frame to dst. A mutation that commits on a single stripe is only
-// PUBLISHED when applyConn returns — visible, ordered, not yet durable —
-// and rq.ticket says what the response must wait for before it may be
-// released; every other op leaves the zero ticket (reads have nothing to
-// wait for, and ops that commit through kv's exclusive multi-stripe path —
-// a cross-stripe BATCH, an interactive COMMIT — are durable on return).
-// Mutating ops thread rq.span into the commit pipeline.
+// frame to dst. An overwrite of an existing key is only PUBLISHED when
+// applyConn returns — visible, ordered, not yet durable — and rq.ticket
+// says what the response must wait for before it may be released; every
+// other op leaves the zero ticket or one that is durable already (reads
+// have nothing to wait for, and kv has waited for a mutation that changes
+// a stripe's record count or commits through its exclusive multi-stripe
+// path: an insert, a delete, a BATCH, an interactive COMMIT). Mutating ops
+// thread rq.span into the commit pipeline.
 func (s *Server) applyConn(cs *connState, dst []byte, id uint32, op byte, body []byte, rq *request) []byte {
 	span := rq.span
 	r := &wire.Reader{B: body}
