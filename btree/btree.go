@@ -14,11 +14,25 @@
 //   - DRAMWriter: cached stores, no logging, no NVM write cost (the
 //     "DRAM" line).
 //
+// Records are fixed-width by default: every write and every move inside the
+// tree stores the whole ValueSize slot. A tree created with
+// Config.LenPrefix (kv's) follows the record rule of DESIGN.md §8 instead:
+// a record is [length word | payload, word-rounded], Insert and the leaf
+// entry points accept that prefix, and shifts, splits, merges, borrows and
+// MigrateRange store and log a record's used prefix only. The rest of the
+// slot is unspecified — it may hold bytes of an older, longer record — and
+// the tree never reads it to decide anything; but the latched Lookup and
+// Scan return whole slots, unspecified tail included, so callers of a
+// length-prefixed tree read through the length word (SeekRecord,
+// ScanRecords, LeafValueAddr). Rollback and recovery need nothing extra:
+// the Writer logs the old image of exactly the words each write covers.
+//
 // Like the paper's user data structures (§4.7), the tree leaves cross-
 // transaction concurrency control to the caller.
 package btree
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -110,6 +124,12 @@ type Config struct {
 	ValueSize int
 	// RootSlot is the application root slot publishing the tree header.
 	RootSlot int
+	// LenPrefix declares that every record starts with a little-endian
+	// length word counting the payload bytes behind it, and switches the
+	// tree to the record rule in the package comment: a write takes a record
+	// prefix and the tree stores, logs and moves only the used prefix. Like
+	// ValueSize it is fixed at creation and must be passed again on attach.
+	LenPrefix bool
 }
 
 func (c Config) withDefaults() Config {
@@ -257,12 +277,12 @@ func (t *Tree) setMeta(w Writer, n uint64, leaf bool, count int) error {
 	return w.Write64(n+nodeMeta, v)
 }
 
-func (t *Tree) key(n uint64, i int) uint64 {
-	return t.ld.Load64(n + nodeKeys + uint64(i)*8)
-}
+func (t *Tree) keyAddr(n uint64, i int) uint64 { return n + nodeKeys + uint64(i)*8 }
+
+func (t *Tree) key(n uint64, i int) uint64 { return t.ld.Load64(t.keyAddr(n, i)) }
 
 func (t *Tree) setKey(w Writer, n uint64, i int, k uint64) error {
-	return w.Write64(n+nodeKeys+uint64(i)*8, k)
+	return w.Write64(t.keyAddr(n, i), k)
 }
 
 func (t *Tree) valAddr(n uint64, i int) uint64 {
@@ -338,14 +358,36 @@ func (t *Tree) Scan(from, to uint64, fn func(k uint64, v []byte) bool) {
 	}
 }
 
-// ErrValueSize is returned when a value does not match Config.ValueSize.
+// ErrValueSize is returned when a value does not match Config.ValueSize
+// (under Config.LenPrefix: is not a word-rounded record prefix that covers
+// the payload its length word declares and fits the slot).
 var ErrValueSize = errors.New("btree: value size mismatch")
+
+// usedLen is how many bytes of its slot a length-prefixed record with the
+// given length word occupies: that word plus the word-rounded payload.
+func (t *Tree) usedLen(lenWord uint64) int {
+	if lenWord > uint64(t.cfg.ValueSize-8) {
+		return t.cfg.ValueSize
+	}
+	return 8 + (int(lenWord)+7)&^7
+}
+
+func (t *Tree) checkVal(v []byte) error {
+	if len(v) == t.cfg.ValueSize {
+		return nil
+	}
+	if !t.cfg.LenPrefix || len(v) < 8 || len(v)%8 != 0 || len(v) > t.cfg.ValueSize ||
+		len(v) < t.usedLen(binary.LittleEndian.Uint64(v)) {
+		return ErrValueSize
+	}
+	return nil
+}
 
 // Insert stores v under k inside tx, replacing any existing value. It
 // reports whether the key was new.
 func (t *Tree) Insert(w Writer, k uint64, v []byte) (bool, error) {
-	if len(v) != t.cfg.ValueSize {
-		return false, ErrValueSize
+	if err := t.checkVal(v); err != nil {
+		return false, err
 	}
 	t = t.writeView(w)
 	root := t.root()
@@ -448,15 +490,7 @@ func (t *Tree) insertLeaf(w Writer, n, k uint64, v []byte) (sep, right uint64, s
 		return 0, 0, false, false, w.WriteBytes(t.valAddr(n, pos), v)
 	}
 	cnt := t.count(n)
-	for i := cnt; i > pos; i-- {
-		if err := t.setKey(w, n, i, t.key(n, i-1)); err != nil {
-			return 0, 0, false, false, err
-		}
-		if err := t.copyVal(w, n, i-1, n, i); err != nil {
-			return 0, 0, false, false, err
-		}
-	}
-	if err := t.setKey(w, n, pos, k); err != nil {
+	if err := t.openSlot(w, n, pos, cnt, k); err != nil {
 		return 0, 0, false, false, err
 	}
 	if err := w.WriteBytes(t.valAddr(n, pos), v); err != nil {
@@ -496,8 +530,43 @@ func (t *Tree) insertLeaf(w Writer, n, k uint64, v []byte) (sep, right uint64, s
 	return t.key(nr, 0), nr, true, true, nil
 }
 
+// copyVal moves one record between slots: its used prefix, nothing past it.
 func (t *Tree) copyVal(w Writer, from uint64, fi int, to uint64, ti int) error {
-	buf := make([]byte, t.cfg.ValueSize)
-	t.ld.Read(t.valAddr(from, fi), buf)
+	src, n := t.valAddr(from, fi), t.cfg.ValueSize
+	if t.cfg.LenPrefix {
+		n = t.usedLen(t.ld.Load64(src))
+	}
+	buf := make([]byte, n)
+	t.ld.Read(src, buf)
 	return w.WriteBytes(t.valAddr(to, ti), buf)
+}
+
+// openSlot makes room at pos in a leaf holding cnt records and stores k
+// there: records [pos, cnt) move one slot up, the values one by one and the
+// key run, new key in front, as ONE span write.
+func (t *Tree) openSlot(w Writer, n uint64, pos, cnt int, k uint64) error {
+	for i := cnt; i > pos; i-- {
+		if err := t.copyVal(w, n, i-1, n, i); err != nil {
+			return err
+		}
+	}
+	at := t.keyAddr(n, pos)
+	run := make([]byte, (cnt-pos+1)*8)
+	binary.LittleEndian.PutUint64(run, k)
+	t.ld.Read(at, run[8:])
+	return w.WriteBytes(at, run)
+}
+
+// closeSlot removes the record at pos from a leaf holding cnt: records
+// (pos, cnt) move one slot down, the key run again as one span write.
+func (t *Tree) closeSlot(w Writer, n uint64, pos, cnt int) error {
+	for i := pos; i < cnt-1; i++ {
+		if err := t.copyVal(w, n, i+1, n, i); err != nil {
+			return err
+		}
+	}
+	at := t.keyAddr(n, pos)
+	run := make([]byte, (cnt-1-pos)*8)
+	t.ld.Read(at+8, run)
+	return w.WriteBytes(at, run)
 }

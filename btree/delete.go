@@ -40,13 +40,8 @@ func (t *Tree) del(w Writer, n, k uint64) (bool, error) {
 			return false, nil
 		}
 		cnt := t.count(n)
-		for i := pos; i < cnt-1; i++ {
-			if err := t.setKey(w, n, i, t.key(n, i+1)); err != nil {
-				return false, err
-			}
-			if err := t.copyVal(w, n, i+1, n, i); err != nil {
-				return false, err
-			}
+		if err := t.closeSlot(w, n, pos, cnt); err != nil {
+			return false, err
 		}
 		return true, t.setMeta(w, n, true, cnt-1)
 	}
@@ -101,15 +96,7 @@ func (t *Tree) borrowFromLeft(w Writer, parent uint64, idx int) error {
 	lc, cc := t.count(left), t.count(c)
 	if t.isLeaf(c) {
 		// Shift c right and move left's last record to its front.
-		for i := cc; i > 0; i-- {
-			if err := t.setKey(w, c, i, t.key(c, i-1)); err != nil {
-				return err
-			}
-			if err := t.copyVal(w, c, i-1, c, i); err != nil {
-				return err
-			}
-		}
-		if err := t.setKey(w, c, 0, t.key(left, lc-1)); err != nil {
+		if err := t.openSlot(w, c, 0, cc, t.key(left, lc-1)); err != nil {
 			return err
 		}
 		if err := t.copyVal(w, left, lc-1, c, 0); err != nil {
@@ -162,13 +149,8 @@ func (t *Tree) borrowFromRight(w Writer, parent uint64, idx int) error {
 		if err := t.copyVal(w, right, 0, c, cc); err != nil {
 			return err
 		}
-		for i := 0; i < rc-1; i++ {
-			if err := t.setKey(w, right, i, t.key(right, i+1)); err != nil {
-				return err
-			}
-			if err := t.copyVal(w, right, i+1, right, i); err != nil {
-				return err
-			}
+		if err := t.closeSlot(w, right, 0, rc); err != nil {
+			return err
 		}
 		if err := t.setMeta(w, c, true, cc+1); err != nil {
 			return err

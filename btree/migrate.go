@@ -76,14 +76,26 @@ func (t *Tree) MigrateRange(w Writer, lo, hi uint64, max int) (moved int, done b
 
 // relocate copies the node at n into a fresh block, repoints the referring
 // slot (parent child pointer or header root), splices the leaf chain, and
-// frees the old block. All writes go through the Writer, so the move is
-// atomic under the commit protocol.
+// frees the old block. A leaf moves as what it holds — header and key
+// array in one span, then each live record by copyVal — not as its whole
+// footprint. All writes go through the Writer, so the move is atomic under
+// the commit protocol.
 func (t *Tree) relocate(w Writer, slot, n uint64, size int, leaf bool, prevLeaf uint64) (uint64, error) {
 	nn := w.Alloc(size)
+	if leaf {
+		size = nodeKeys + (t.cfg.LeafCap+1)*8
+	}
 	buf := make([]byte, size)
 	t.ld.Read(n, buf)
 	if err := w.WriteBytes(nn, buf); err != nil {
 		return 0, err
+	}
+	if leaf {
+		for i, cnt := 0, t.count(n); i < cnt; i++ {
+			if err := t.copyVal(w, n, i, nn, i); err != nil {
+				return 0, err
+			}
+		}
 	}
 	if err := w.Write64(slot, nn); err != nil {
 		return 0, err

@@ -64,8 +64,8 @@ func (t *Tree) CountAddr() uint64 { return t.hdr + hdrCount }
 // OverwriteInLeaf replaces the value at pos in a latched leaf — the
 // non-structural fast path: no key moves, no count change, one span write.
 func (t *Tree) OverwriteInLeaf(w Writer, leaf uint64, pos int, v []byte) error {
-	if len(v) != t.cfg.ValueSize {
-		return ErrValueSize
+	if err := t.checkVal(v); err != nil {
+		return err
 	}
 	return w.WriteBytes(t.valAddr(leaf, pos), v)
 }
@@ -74,20 +74,12 @@ func (t *Tree) OverwriteInLeaf(w Writer, leaf uint64, pos int, v []byte) error {
 // (LeafHasRoom). It does NOT update the tree's record count — the caller
 // follows with AddLen under the header-count latch.
 func (t *Tree) InsertInLeaf(w Writer, leaf uint64, pos int, k uint64, v []byte) error {
-	if len(v) != t.cfg.ValueSize {
-		return ErrValueSize
+	if err := t.checkVal(v); err != nil {
+		return err
 	}
 	t = t.writeView(w)
 	cnt := t.count(leaf)
-	for i := cnt; i > pos; i-- {
-		if err := t.setKey(w, leaf, i, t.key(leaf, i-1)); err != nil {
-			return err
-		}
-		if err := t.copyVal(w, leaf, i-1, leaf, i); err != nil {
-			return err
-		}
-	}
-	if err := t.setKey(w, leaf, pos, k); err != nil {
+	if err := t.openSlot(w, leaf, pos, cnt, k); err != nil {
 		return err
 	}
 	if err := w.WriteBytes(t.valAddr(leaf, pos), v); err != nil {
@@ -102,13 +94,8 @@ func (t *Tree) InsertInLeaf(w Writer, leaf uint64, pos int, k uint64, v []byte) 
 func (t *Tree) DeleteInLeaf(w Writer, leaf uint64, pos int) error {
 	t = t.writeView(w)
 	cnt := t.count(leaf)
-	for i := pos; i < cnt-1; i++ {
-		if err := t.setKey(w, leaf, i, t.key(leaf, i+1)); err != nil {
-			return err
-		}
-		if err := t.copyVal(w, leaf, i+1, leaf, i); err != nil {
-			return err
-		}
+	if err := t.closeSlot(w, leaf, pos, cnt); err != nil {
+		return err
 	}
 	return t.setMeta(w, leaf, true, cnt-1)
 }

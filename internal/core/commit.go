@@ -505,8 +505,7 @@ func (tm *TM) compensate(sh *logShard, x *txnState, r rlog.Record) {
 // undos should be made persistent as well"). Callers hold sh.mu.
 func (tm *TM) compensateLocked(sh *logShard, x *txnState, r rlog.Record) {
 	if n := r.Words(); n > 1 {
-		oldS := make([]uint64, n)
-		newS := make([]uint64, n)
+		oldS, newS := sh.spanImages(n)
 		for i := 0; i < n; i++ {
 			prev, err := r.OldAt(i)
 			if err != nil {

@@ -477,6 +477,9 @@ type logShard struct {
 	mu      sync.Mutex
 	log     *rlog.Log // nil in the two-layer configuration
 	pending []pendingWrite
+	// images backs the old/new images of the span record being built
+	// (spanImages); the record copies them into NVM before mu is released.
+	images []uint64
 
 	idx int // position in TM.shards; the Shard of this shard's tickets
 
@@ -510,6 +513,15 @@ type logShard struct {
 	// logBytes carries the two-layer configuration's appended-record
 	// footprint; one-layer shards read it from their rlog.Log instead.
 	logBytes atomic.Int64
+}
+
+// spanImages returns two n-word scratch slices for a span record's old and
+// new images, valid until the next call. Callers hold sh.mu.
+func (sh *logShard) spanImages(n int) (oldS, newS []uint64) {
+	if cap(sh.images) < 2*n {
+		sh.images = make([]uint64, 2*n)
+	}
+	return sh.images[:n], sh.images[n : 2*n]
 }
 
 // gcRound is one group-commit round on a shard: the waiters that will

@@ -115,11 +115,10 @@ func (x *Txn) WriteBytes(addr uint64, p []byte) error {
 	}
 	tm, sh := x.tm, x.sh
 	n := (len(p) + 7) / 8
-	oldS := make([]uint64, n)
-	newS := make([]uint64, n)
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	oldS, newS := sh.spanImages(n)
 	var word [8]byte
 	for i := 0; i < n; i++ {
 		w := addr + uint64(i)*8

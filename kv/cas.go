@@ -71,7 +71,7 @@ func (s *Store) PublishCAS(key uint64, expect, value []byte, span *obs.Span) (bo
 			}
 			if value != nil {
 				swapped = true
-				_, err := t.Insert(tx, key, s.encode(value))
+				_, err := t.Insert(tx, key, s.encode(nil, value))
 				return err
 			}
 			if found {
@@ -147,7 +147,7 @@ func (s *Store) PublishCAS(key uint64, expect, value []byte, span *obs.Span) (bo
 		// change.
 		s.fastPath.Add(1)
 		return applied(s.commitLeafPath(sp, leaf, 0, span, func(tx *rewind.Tx) error {
-			return t.OverwriteInLeaf(tx, leaf, pos, s.encode(value))
+			return t.OverwriteInLeaf(tx, leaf, pos, s.encode(nil, value))
 		}))
 	case eq && t.LeafCanShrink(leaf):
 		// Matched delete, non-structural.
@@ -161,7 +161,7 @@ func (s *Store) PublishCAS(key uint64, expect, value []byte, span *obs.Span) (bo
 	case !eq && t.LeafHasRoom(leaf):
 		// Put-if-absent, non-structural.
 		return applied(s.commitLeafPath(sp, leaf, +1, span, func(tx *rewind.Tx) error {
-			return t.InsertInLeaf(tx, leaf, pos, key, s.encode(value))
+			return t.InsertInLeaf(tx, leaf, pos, key, s.encode(nil, value))
 		}))
 	}
 	// Structural (split or rebalance): restart on the stripe-exclusive tier
@@ -179,7 +179,7 @@ func (s *Store) PublishCAS(key uint64, expect, value []byte, span *obs.Span) (bo
 			return errCasStop
 		}
 		if value != nil {
-			_, err := t.Insert(tx, key, s.encode(value))
+			_, err := t.Insert(tx, key, s.encode(nil, value))
 			return err
 		}
 		_, err := t.Delete(tx, key)

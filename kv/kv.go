@@ -21,9 +21,18 @@
 // so the shard log's FIFO flush order guarantees recovery keeps a
 // dependency-closed prefix of the stripe's commit order.
 //
-// Values are variable-length byte strings up to Config.MaxValue, stored in
-// fixed-size tree records as [length word | payload, zero-padded]; a whole
-// record is written with one WriteBytes span record.
+// Values are variable-length byte strings up to Config.MaxValue, each in a
+// fixed-size slot of a tree leaf. The record rule (DESIGN.md §8): every
+// write of a record — here and in the tree's shifts, splits, merges and
+// compaction moves — stores and logs [length word | payload, zero-filled to
+// the next word] in one WriteBytes span and nothing past it, so a PUT's log
+// and flush bill follows the value, not MaxValue. What a slot holds behind
+// that prefix is unspecified — zero, or the tail of an older, longer value
+// — and is never read: every read clamps to the length word. Undo and
+// recovery are untouched by this, because a span's old image is exactly the
+// words the write stored over: rolling back a short overwrite of a long
+// value restores the overwritten prefix, and the rest of the long value was
+// never touched.
 //
 // Durability: every mutation runs in its own REWIND transaction, in two
 // steps. The Publish* calls execute it and publish its commit — END record
@@ -131,9 +140,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// valueSize is the tree record size for a MaxValue: one length word plus
-// the padded payload.
+// valueSize is the tree slot size for a MaxValue: one length word plus the
+// word-rounded payload.
 func (c Config) valueSize() int { return 8 + (c.MaxValue+7)&^7 }
+
+// treeConfig is the shape of every stripe's tree: length-prefixed records
+// (the record rule in the package comment) in valueSize-byte slots.
+func (c Config) treeConfig() btree.Config {
+	return btree.Config{ValueSize: c.valueSize(), LenPrefix: true}
+}
 
 // Errors.
 var (
@@ -213,6 +228,9 @@ type Store struct {
 	casAttempts, casApplied                           atomic.Int64
 
 	compactions, compactMoved, compactReleased atomic.Int64
+
+	// recs recycles PublishPut's record images (*[]byte).
+	recs sync.Pool
 }
 
 // optimisticReadHook, when non-nil, runs between an optimistic traversal
@@ -241,7 +259,7 @@ func Create(st *rewind.Store, cfg Config) (*Store, error) {
 	// the arena can physically hold: one tree leaf must fit a quarter of
 	// the arena — at its growth cap, since a growable arena extends itself
 	// before the first insert could exhaust it.
-	if leaf := (btree.Config{ValueSize: cfg.valueSize()}).LeafSize(); leaf > st.Mem().MaxSize()/4 {
+	if leaf := cfg.treeConfig().LeafSize(); leaf > st.Mem().MaxSize()/4 {
 		return nil, fmt.Errorf("kv: MaxValue %d needs %d-byte leaves; the %d-byte arena cannot hold them",
 			cfg.MaxValue, leaf, st.Mem().MaxSize())
 	}
@@ -250,7 +268,7 @@ func Create(st *rewind.Store, cfg Config) (*Store, error) {
 	tbl := st.Alloc(tblSize)
 	s := &Store{st: st, mem: mem, cfg: cfg, obs: cfg.Obs}
 	for i := 0; i < cfg.Stripes; i++ {
-		t, err := btree.NewAt(st, btree.Config{ValueSize: cfg.valueSize()})
+		t, err := btree.NewAt(st, cfg.treeConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -296,7 +314,7 @@ func Attach(st *rewind.Store, cfg Config) (*Store, error) {
 	s := &Store{st: st, mem: mem, cfg: cfg, obs: cfg.Obs}
 	for i := 0; i < stripes; i++ {
 		hdr := mem.Load64(tbl + tblTrees + uint64(i)*8)
-		t, err := btree.AttachAt(st, btree.Config{ValueSize: cfg.valueSize()}, hdr)
+		t, err := btree.AttachAt(st, cfg.treeConfig(), hdr)
 		if err != nil {
 			return nil, err
 		}
@@ -352,16 +370,31 @@ func (s *Store) stripeOf(key uint64) *stripe {
 	return s.stripes[s.stripeIndex(key)]
 }
 
-// encode builds the tree record for a value: the full 8-byte little-endian
-// length word, then the payload. (An earlier revision wrote only the low
-// two length bytes, silently truncating lengths in stores configured with
-// MaxValue > 65535; since the upper bytes were always written as zero, the
-// widened word reads every old record identically.)
-func (s *Store) encode(v []byte) []byte {
-	rec := make([]byte, s.cfg.valueSize())
-	binary.LittleEndian.PutUint64(rec, uint64(len(v)))
-	copy(rec[8:], v)
-	return rec
+// encode builds the tree record for a value into buf (grown if too small):
+// the 8-byte little-endian length word, then the payload, zero-filled to the
+// next word boundary and no further — 8+⌈len(v)⌉₈ bytes, which is all the
+// tree writes and logs. What the slot holds past them is unspecified.
+func (s *Store) encode(buf, v []byte) []byte {
+	n := 8 + (len(v)+7)&^7
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	binary.LittleEndian.PutUint64(buf, uint64(len(v)))
+	clear(buf[8+copy(buf[8:], v):])
+	return buf
+}
+
+// pooledRecord is encode into a recycled buffer, for the one-record write
+// paths; the caller returns it with s.recs.Put once the tree write is done
+// (no Writer keeps the slice).
+func (s *Store) pooledRecord(v []byte) *[]byte {
+	bp, _ := s.recs.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	*bp = s.encode(*bp, v)
+	return bp
 }
 
 // update runs fn inside one transaction with the given stripes latched
@@ -707,7 +740,9 @@ func (s *Store) PublishPut(key uint64, value []byte, span *obs.Span) (rewind.Tic
 		return rewind.Ticket{}, ErrValueTooLarge
 	}
 	s.puts.Add(1)
-	rec := s.encode(value)
+	bp := s.pooledRecord(value)
+	defer s.recs.Put(bp)
+	rec := *bp
 	idx := s.stripeIndex(key)
 	sp := s.stripes[idx]
 	if s.cfg.SerialWrites {
@@ -933,6 +968,7 @@ func (s *Store) PublishBatch(ops []Op, span *obs.Span) (rewind.Ticket, error) {
 	}
 	sort.Ints(idx)
 	apply := func(tx *rewind.Tx) error {
+		var rec []byte
 		for _, op := range ops {
 			sp := s.stripeOf(op.Key)
 			if op.Delete {
@@ -940,7 +976,8 @@ func (s *Store) PublishBatch(ops []Op, span *obs.Span) (rewind.Ticket, error) {
 					return err
 				}
 			} else {
-				if _, err := sp.tree.Insert(tx, op.Key, s.encode(op.Value)); err != nil {
+				rec = s.encode(rec, op.Value)
+				if _, err := sp.tree.Insert(tx, op.Key, rec); err != nil {
 					return err
 				}
 			}

@@ -70,7 +70,7 @@ func TestMaxValueArenaBound(t *testing.T) {
 // little-endian length.
 func TestEncodeWidth(t *testing.T) {
 	s := &Store{cfg: Config{MaxValue: 1 << 20}.withDefaults()}
-	rec := s.encode(make([]byte, 70_000))
+	rec := s.encode(nil, make([]byte, 70_000))
 	if n := binary.LittleEndian.Uint64(rec); n != 70_000 {
 		t.Fatalf("length word = %d, want 70000", n)
 	}

@@ -196,6 +196,7 @@ func (t *Txn) CommitSpan(span *obs.Span) error {
 				return errCasStop
 			}
 		}
+		var rec []byte
 		for _, k := range keys {
 			sp := s.stripeOf(k)
 			w := t.writes[k]
@@ -204,7 +205,8 @@ func (t *Txn) CommitSpan(span *obs.Span) error {
 					return err
 				}
 			} else {
-				if _, err := sp.tree.Insert(tx, k, s.encode(w.val)); err != nil {
+				rec = s.encode(rec, w.val)
+				if _, err := sp.tree.Insert(tx, k, rec); err != nil {
 					return err
 				}
 			}
