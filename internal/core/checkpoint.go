@@ -127,8 +127,7 @@ func (tm *TM) CheckpointPaced(budgetLines int) CheckpointStats {
 		if tm.cfg.Layers == OneLayer {
 			for i, sh := range tm.shards {
 				ckptLSN[i] = tm.lsn.Add(1)
-				rec := tm.allocRecord(rlog.Fields{LSN: ckptLSN[i], Txn: 0, Type: rlog.TypeCheckpoint})
-				sh.log.Append(rec, false)
+				sh.log.AppendFields(rlog.Fields{LSN: ckptLSN[i], Txn: 0, Type: rlog.TypeCheckpoint}, false)
 				tm.forceLogShard(sh)
 			}
 		} else {
@@ -189,14 +188,4 @@ func (tm *TM) LastCheckpoint() CheckpointStats {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
 	return tm.lastCkpt
-}
-
-// allocRecord allocates a record honouring the log kind's persistence
-// discipline. Callers hold the shard mutex and have already assigned the
-// LSN.
-func (tm *TM) allocRecord(f rlog.Fields) uint64 {
-	if tm.cfg.LogKind == rlog.Batch {
-		return rlog.AllocDeferred(tm.a, f).Addr
-	}
-	return rlog.Alloc(tm.a, f).Addr
 }

@@ -273,8 +273,8 @@ func (x *Txn) ReadBytes(addr uint64, n int) []byte {
 	return p
 }
 
-// appendShard allocates a record with a fresh global LSN, inserts it into
-// the shard's log (or the AAVLT in the two-layer configuration), and
+// appendShard builds a record with a fresh global LSN in the shard's log
+// (or a block of its own under the AAVLT in the two-layer configuration) and
 // updates the volatile transaction state. It reports whether the log
 // guarantees every record so far is durable (used to release Batch-deferred
 // writes). Callers hold sh.mu.
@@ -293,17 +293,11 @@ func (tm *TM) appendShard(sh *logShard, x *txnState, f rlog.Fields, end bool) (f
 		x.records++
 		return true
 	}
-	var rec rlog.Record
-	if tm.cfg.LogKind == rlog.Batch {
-		rec = rlog.AllocDeferred(tm.a, f)
-	} else {
-		rec = rlog.Alloc(tm.a, f)
-	}
-	flushed = sh.log.Append(rec.Addr, end)
+	rec, flushed := sh.log.AppendFields(f, end)
 	if flushed && tm.cfg.LogKind == rlog.Batch {
 		sh.flushes.Add(1)
 	}
-	x.lastLSN, x.lastRec = f.LSN, rec.Addr
+	x.lastLSN, x.lastRec = f.LSN, rec
 	x.records++
 	return flushed
 }

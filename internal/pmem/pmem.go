@@ -62,6 +62,12 @@ const (
 // their log records. Line-isolated blocks make that impossible, mirroring
 // how a native implementation segregates its log arena from user data
 // (paper §2: "This separates data from the log").
+//
+// The one place lines are shared is INSIDE a block: the record area of an
+// rlog Batch bucket packs log records 8-byte aligned. That is safe because
+// the block holds nothing but log data, and a record is reachable only
+// through a bucket cell published after its own flush — a flush of a shared
+// line can persist early nothing but bytes nobody can reach yet.
 var classTotals = []int{
 	64, 128, 192, 256, 384, 512, 768,
 	1024, 1536, 2048, 3072, 4096, 6144, 8192, 12288, 16384,

@@ -25,7 +25,8 @@ const (
 	// Batch extends Optimized by packing multiple record pointers per
 	// cache line and issuing one flush + fence + persisted-index update
 	// per group of GroupSize records (§3.3, "Multiple log records per
-	// cacheline").
+	// cacheline"). Its buckets also carry a record area, so the records
+	// themselves pack into shared cache lines (AppendFields).
 	Batch
 )
 
@@ -61,9 +62,31 @@ const (
 	lhSize       = lhADLL + adllHeaderLen
 )
 
-// Bucket layout: one persisted-index word, then the cells, line-aligned so
-// that a group of 8 cells occupies exactly one cache line.
+// batchAreaStamp is or-ed into a Batch log's kind word: its buckets carry
+// record areas. A binary from before that layout reads the stamped word as
+// an unknown kind and refuses the log, where it would otherwise free
+// "record blocks" in the middle of a bucket.
+const batchAreaStamp = 1 << 8
+
+func kindWord(k Kind) uint64 {
+	if k == Batch {
+		return uint64(k) | batchAreaStamp
+	}
+	return uint64(k)
+}
+
+// Bucket layout, one pmem block: the persisted-index word, then the cells,
+// line-aligned so that a group of 8 cells occupies exactly one cache line,
+// then (Batch) the record area, line-aligned again and running to the end
+// of the block. The area holds nothing but log records, packed 8-byte
+// aligned, and a record is reachable only through its cell — so a flush of
+// a line two records share can persist nothing that matters early.
 const bucketIdx = 0
+
+// areaPerCell sizes a fresh bucket's record area, in bytes per cell. The
+// serving record mix averages 84-88 B, so cells and area run out together;
+// a bucket whose area fills first simply closes with cells to spare.
+const areaPerCell = 96
 
 func cellsBase(bucket uint64) uint64 {
 	return (bucket + 8 + nvm.LineSize - 1) &^ (nvm.LineSize - 1)
@@ -71,6 +94,11 @@ func cellsBase(bucket uint64) uint64 {
 
 func cellAddr(bucket uint64, pos int) uint64 {
 	return cellsBase(bucket) + uint64(pos)*8
+}
+
+// areaBase is the first byte past the cells, rounded up to a line.
+func (l *Log) areaBase(bucket uint64) uint64 {
+	return (cellAddr(bucket, l.cfg.BucketSize) + nvm.LineSize - 1) &^ (nvm.LineSize - 1)
 }
 
 // Config selects the log layout and its tuning knobs.
@@ -103,17 +131,27 @@ func (c Config) withDefaults() Config {
 type bucketState struct {
 	next int // next free cell index
 	live int // cells holding a record (not empty, not tombstone)
+	// bump is the next free byte of the record area and end the first byte
+	// past the bucket's block: a record at [bucket, end) lives and dies with
+	// the bucket, any other address is a block of its own.
+	bump, end uint64
 }
+
+// owns reports whether rec lies inside the bucket's block.
+func (st *bucketState) owns(bucket, rec uint64) bool { return rec >= bucket && rec < st.end }
 
 // Log is a recoverable REWIND log. Appends and removals are atomic with
 // respect to crashes; volatile bookkeeping is rebuilt by Open.
 //
 // Locking: mu protects structural mutations and volatile state and is held
-// only per-step. clearMu serializes clearing passes (which invalidate
+// per step: one append, one flush, one bucket of a clearing pass. clearMu serializes clearing passes (which invalidate
 // iterators, §2) against open iterators: iterators hold it shared for their
-// lifetime, ClearScan holds it exclusively. Appends take only mu, so
-// concurrent transactions keep using the log while a checkpoint clears it
-// (§4.6).
+// lifetime, ClearScan holds it exclusively. Appends take only mu, which
+// ClearScan releases while it walks a closed bucket and holds over the tail
+// bucket alone (an appender's flush must not write back its half-cleared
+// cell lines), so concurrent transactions keep using the log while a
+// checkpoint clears what lies behind them (§4.6). A Simple log is cleared
+// under mu whole.
 type Log struct {
 	mem  *nvm.Memory
 	a    *pmem.Allocator
@@ -125,9 +163,14 @@ type Log struct {
 	clearMu sync.RWMutex
 	states  map[uint64]*bucketState // bucket addr -> volatile state
 	live    int                     // total live records
-	// Batch bookkeeping: first cell index of the active bucket not yet
-	// covered by a group flush.
+	// bucketBytes totals the payload bytes of the linked bucket blocks.
+	bucketBytes int64
+	// Batch bookkeeping: first cell index and first area byte of the active
+	// bucket not yet covered by a group flush, and whether any pending cell
+	// points at a block of its own (Append): those flush one by one.
 	pendingFrom int
+	pendingArea uint64
+	pendingOwn  bool
 	// appendedBytes totals the footprint of every record ever appended
 	// (headers plus span payloads) — the write-path log volume the
 	// footprint benchmarks compare across commit modes. Atomic so stats
@@ -142,7 +185,7 @@ func New(a *pmem.Allocator, cfg Config) *Log {
 	m := a.Mem()
 	hdr := a.Alloc(lhSize)
 	m.Zero(hdr, lhSize)
-	m.Store64(hdr+lhKind, uint64(cfg.Kind))
+	m.Store64(hdr+lhKind, kindWord(cfg.Kind))
 	m.Store64(hdr+lhBucketSize, uint64(cfg.BucketSize))
 	m.FlushRange(hdr, lhSize)
 	m.Fence()
@@ -153,7 +196,10 @@ func New(a *pmem.Allocator, cfg Config) *Log {
 // Open reattaches to the log published in cfg.RootSlot, performs the
 // structural recovery of §3.2 (redo the one pending ADLL operation) and
 // rebuilds the volatile bucket state from the durable image, honouring each
-// bucket's persisted index in Batch mode.
+// bucket's persisted index in Batch mode. A Batch log written before
+// buckets had record areas opens as it is — every record's owner is decided
+// by its address — and is stamped, because from here on its new buckets
+// carry areas.
 func Open(a *pmem.Allocator, cfg Config) (*Log, error) {
 	cfg = cfg.withDefaults()
 	m := a.Mem()
@@ -161,11 +207,15 @@ func Open(a *pmem.Allocator, cfg Config) (*Log, error) {
 	if hdr == nvm.Null {
 		return nil, fmt.Errorf("rlog: root slot %d holds no log", cfg.RootSlot)
 	}
-	if k := Kind(m.Load64(hdr + lhKind)); k != cfg.Kind {
-		return nil, fmt.Errorf("rlog: log at slot %d has kind %v, config wants %v", cfg.RootSlot, k, cfg.Kind)
+	w := m.Load64(hdr + lhKind)
+	if w != kindWord(cfg.Kind) && w != uint64(cfg.Kind) {
+		return nil, fmt.Errorf("rlog: log at slot %d has kind %v, config wants %v", cfg.RootSlot, Kind(w&^batchAreaStamp), cfg.Kind)
 	}
 	if bs := int(m.Load64(hdr + lhBucketSize)); bs != cfg.BucketSize {
 		return nil, fmt.Errorf("rlog: log at slot %d has bucket size %d, config wants %d", cfg.RootSlot, bs, cfg.BucketSize)
+	}
+	if w != kindWord(cfg.Kind) {
+		m.StoreNT64(hdr+lhKind, kindWord(cfg.Kind))
 	}
 	l := attach(a, cfg, hdr)
 	l.list.recover()
@@ -187,14 +237,14 @@ func attach(a *pmem.Allocator, cfg Config, hdr uint64) *Log {
 // rebuild reconstructs the volatile bucket states from durable contents
 // (the paper's "we reconstruct the information during the analysis phase").
 func (l *Log) rebuild() {
-	l.live = 0
+	l.live, l.bucketBytes = 0, 0
 	for node := l.list.head(); node != nvm.Null; node = l.list.next(node) {
 		if l.cfg.Kind == Simple {
 			l.live++
 			continue
 		}
 		bucket := l.list.element(node)
-		st := &bucketState{}
+		st := &bucketState{bump: l.areaBase(bucket), end: bucket + uint64(l.a.BlockSize(bucket))}
 		limit := l.cfg.BucketSize
 		if l.cfg.Kind == Batch {
 			// Only records below the persisted index are real (§3.3);
@@ -220,17 +270,31 @@ func (l *Log) rebuild() {
 				}
 			}
 		}
+		last := nvm.Null
 		for pos := 0; pos < st.next; pos++ {
-			if v := l.mem.Load64(cellAddr(bucket, pos)); v != 0 && v != tombstone {
-				st.live++
+			v := l.mem.Load64(cellAddr(bucket, pos))
+			if v == 0 || v == tombstone {
+				continue
 			}
+			st.live++
+			if st.owns(bucket, v) {
+				last = v
+			}
+		}
+		// The area is free past the highest end of any record a valid cell
+		// points to — the last one, as cells and area fill in step; what
+		// lies beyond was never published.
+		if last != nvm.Null {
+			st.bump = last + uint64(View(l.mem, last).Size())
 		}
 		l.states[bucket] = st
 		l.live += st.live
+		l.bucketBytes += int64(st.end - bucket)
 	}
-	l.pendingFrom = 0
+	l.pendingFrom, l.pendingArea, l.pendingOwn = 0, 0, false
 	if tail := l.list.tail(); tail != nvm.Null && l.cfg.Kind == Batch {
-		l.pendingFrom = l.states[l.list.element(tail)].next
+		st := l.states[l.list.element(tail)]
+		l.pendingFrom, l.pendingArea = st.next, st.bump
 	}
 }
 
@@ -255,15 +319,20 @@ func (l *Log) Len() int {
 // Empty reports whether the log holds no live records.
 func (l *Log) Empty() bool { return l.Len() == 0 }
 
-// Occupancy returns the live record count and the linked bucket (or
-// node) count under one lock hold — the pair the /metrics log-occupancy
-// gauges sample per scrape. Live records shrink at checkpoints (§4.6),
-// so this is the "log growth since last checkpoint" signal, where
-// AppendedBytes is cumulative volume.
-func (l *Log) Occupancy() (records, buckets int) {
+// Occupancy returns the live record count, the linked bucket (or node)
+// count and the payload bytes of the linked bucket blocks under one lock
+// hold — what the /metrics log-occupancy gauges sample per scrape. All
+// three shrink at checkpoints (§4.6), so this is the "log growth since last
+// checkpoint" signal, where AppendedBytes is cumulative volume. Records in
+// blocks of their own (Append, and every record of a Simple log) are not in
+// the byte count.
+func (l *Log) Occupancy() (records, buckets int, bytes int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.live, l.list.len()
+	if l.cfg.Kind == Simple {
+		return l.live, l.list.len(), 0
+	}
+	return l.live, len(l.states), l.bucketBytes
 }
 
 // Buckets returns the number of buckets (or nodes, for Simple) currently
@@ -274,7 +343,9 @@ func (l *Log) Buckets() int {
 	return l.list.len()
 }
 
-// Append atomically inserts a record pointer at the log tail. end marks END
+// Append atomically inserts a pointer to a record the caller built in a
+// block of its own (Alloc, AllocDeferred) at the log tail; the log frees
+// that block when the record is cleared with RemoveFree. end marks END
 // records, which force a group flush in Batch mode (§3.3: "or when we find
 // an END record"). It reports whether the append left every prior record
 // durable (always true for Simple/Optimized; true at group boundaries for
@@ -289,10 +360,37 @@ func (l *Log) Append(rec uint64, end bool) (flushed bool) {
 		l.live++
 		return true
 	}
+	bucket, st := l.activeBucket(0)
+	l.pendingOwn = true
+	return l.publishLocked(bucket, st, rec, end)
+}
 
-	bucket, st := l.activeBucket()
-	pos := st.next
-	addr := cellAddr(bucket, pos)
+// AppendFields builds the record f describes and inserts it at the log
+// tail, returning its address; end and flushed are as for Append. Under
+// Batch the record is written with cached stores at the active bucket's
+// bump position — no allocation, no block header, cache lines shared with
+// its neighbours — and becomes durable with its cell's group flush; its
+// memory belongs to the bucket and is released when the bucket is. The
+// other kinds keep one durable block per record, as the paper draws them.
+func (l *Log) AppendFields(f Fields, end bool) (rec uint64, flushed bool) {
+	if l.cfg.Kind != Batch {
+		rec = Alloc(l.a, f).Addr
+		return rec, l.Append(rec, end)
+	}
+	size := f.size()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	bucket, st := l.activeBucket(size)
+	rec = st.bump
+	writeFields(l.mem, rec, f)
+	st.bump += uint64(size)
+	l.appendedBytes.Add(int64(size))
+	return rec, l.publishLocked(bucket, st, rec, end)
+}
+
+// publishLocked stores rec into the active bucket's next cell.
+func (l *Log) publishLocked(bucket uint64, st *bucketState, rec uint64, end bool) (flushed bool) {
+	addr := cellAddr(bucket, st.next)
 	if l.cfg.Kind == Optimized {
 		// One durable store: the atomic, cheap insert of Figure 2.
 		l.mem.StoreNT64(addr, rec)
@@ -332,36 +430,39 @@ func (l *Log) ForceFlush() bool {
 }
 
 // flushGroupLocked persists the active bucket's pending cells and advances
-// the persisted index: flush the cell lines, fence, then one non-temporal
-// store of the index. Records referenced by the pending cells were written
-// with cached stores, so they are flushed here too — this is what reduces
-// the fence count to one per group.
+// the persisted index: flush the records, flush the cell lines, fence, then
+// one non-temporal store of the index. The records were written with cached
+// stores; those in the bucket's area are contiguous and go out as one
+// range, which is what reduces the cost to one fence per group.
 func (l *Log) flushGroupLocked(bucket uint64, st *bucketState) {
 	if st.next <= l.pendingFrom {
 		return
 	}
-	for pos := l.pendingFrom; pos < st.next; pos++ {
-		if rec := l.mem.Load64(cellAddr(bucket, pos)); rec != 0 && rec != tombstone {
+	for pos := l.pendingFrom; l.pendingOwn && pos < st.next; pos++ {
+		if rec := l.mem.Load64(cellAddr(bucket, pos)); rec != 0 && rec != tombstone && !st.owns(bucket, rec) {
 			// Span records carry a variable-length payload; flush the
 			// record's full footprint, not just the fixed header.
 			l.mem.FlushRange(rec, View(l.mem, rec).Size())
 		}
 	}
+	l.mem.FlushRange(l.pendingArea, int(st.bump-l.pendingArea))
 	l.mem.FlushRange(cellAddr(bucket, l.pendingFrom), (st.next-l.pendingFrom)*8)
 	l.mem.Fence()
 	l.mem.StoreNT64(bucket+bucketIdx, uint64(st.next))
-	l.pendingFrom = st.next
+	l.pendingFrom, l.pendingArea, l.pendingOwn = st.next, st.bump, false
 }
 
-// activeBucket returns the tail bucket with free space, creating and
-// linking a new one when needed. New buckets are zeroed and made durable
-// before the ADLL append publishes them (§3.3: "We initialize the cells of
-// each bucket to zero").
-func (l *Log) activeBucket() (uint64, *bucketState) {
+// activeBucket returns the tail bucket with a free cell and need free bytes
+// of record area, creating and linking a new one when needed. A new
+// bucket's index and cells are zeroed and made durable before the ADLL
+// append publishes it (§3.3: "We initialize the cells of each bucket to
+// zero"); the area is left as it is, since nothing reads it but through a
+// cell. A record larger than a whole area gets a bucket sized for it.
+func (l *Log) activeBucket(need int) (uint64, *bucketState) {
 	tail := l.list.tail()
 	if tail != nvm.Null {
 		bucket := l.list.element(tail)
-		if st := l.states[bucket]; st.next < l.cfg.BucketSize {
+		if st := l.states[bucket]; st.next < l.cfg.BucketSize && st.bump+uint64(need) <= st.end {
 			return bucket, st
 		}
 		if l.cfg.Kind == Batch {
@@ -370,13 +471,21 @@ func (l *Log) activeBucket() (uint64, *bucketState) {
 		}
 	}
 	size := int(cellsBase(0)) + l.cfg.BucketSize*8 + nvm.LineSize // alignment slack
+	if l.cfg.Kind == Batch {
+		size = int(l.areaBase(0)) + max(l.cfg.BucketSize*areaPerCell, need)
+	}
 	bucket := l.a.Alloc(size)
-	l.mem.Zero(bucket, size)
-	l.mem.FlushRange(bucket, size)
+	zero := size
+	if l.cfg.Kind == Batch {
+		zero = int(l.areaBase(bucket) - bucket) // index and cells only
+	}
+	l.mem.Zero(bucket, zero)
+	l.mem.FlushRange(bucket, zero)
 	l.mem.Fence()
 	l.list.append(bucket)
-	st := &bucketState{}
+	st := &bucketState{bump: l.areaBase(bucket), end: bucket + uint64(l.a.BlockSize(bucket))}
 	l.states[bucket] = st
-	l.pendingFrom = 0
+	l.bucketBytes += int64(st.end - bucket)
+	l.pendingFrom, l.pendingArea, l.pendingOwn = 0, st.bump, false
 	return bucket, st
 }

@@ -6,6 +6,14 @@
 // recoverable: a crash at any point leaves a state from which Open restores
 // a structurally consistent log by redoing at most the one pending ADLL
 // operation, exactly as the paper prescribes.
+//
+// A record lives in one of two places. Simple and Optimized logs, the
+// AAVLT, and Append on any kind point at a pmem block per record (Alloc,
+// AllocDeferred), freed when the record is cleared. A Batch log's
+// AppendFields writes the record into its bucket's record area instead,
+// packed against its neighbours, where it lives and dies with the bucket;
+// which of the two a cell points at is decided by its address alone
+// (DESIGN.md §12).
 package rlog
 
 import (
@@ -72,11 +80,12 @@ const (
 	FlagRedoSpan = 1 << 2
 )
 
-// RecordSize is the fixed record footprint: 7 words. Together with the
-// allocator's 8-byte block header a record occupies exactly one cache
-// line, matching the paper's observation that a record carries the
-// standard ARIES fields and its cost model of roughly one NVM line write
-// per record. Span records extend past it with their payload (SpanSize).
+// RecordSize is the fixed record footprint: 7 words. In a block of its own,
+// together with the allocator's 8-byte header, a record occupies exactly
+// one cache line, matching the paper's observation that a record carries
+// the standard ARIES fields and its cost model of roughly one NVM line
+// write per record. Span records extend past it with their payload
+// (SpanSize).
 const RecordSize = 56
 
 // Record field offsets (bytes from the record address). The LSN, type and
@@ -146,17 +155,38 @@ func Alloc(a *pmem.Allocator, f Fields) Record {
 	return r
 }
 
-// AllocDeferred creates a record with cached stores only, leaving its
-// persistence to a later group flush. This is the Batch-mode path (§3.3):
-// the record becomes durable together with its bucket cells under a single
-// fence per group, which is what Figure 10 measures.
+// AllocDeferred creates a record in a block of its own with cached stores
+// only, leaving its persistence to a later group flush (§3.3). It is the
+// one-block-per-record form of the Batch path, paired with Log.Append; the
+// serving path builds its records inside the bucket with Log.AppendFields.
 func AllocDeferred(a *pmem.Allocator, f Fields) Record {
-	m := a.Mem()
+	r := Record{a.Mem(), a.Alloc(f.size())}
+	writeFields(r.mem, r.Addr, f)
+	return r
+}
+
+// size returns the footprint of the record f describes, rejecting span
+// images of unequal length.
+func (f *Fields) size() int {
+	switch {
+	case len(f.OldSpan) > 0:
+		if len(f.NewSpan) != len(f.OldSpan) {
+			panic(fmt.Sprintf("rlog: span images differ in length (%d old, %d new)", len(f.OldSpan), len(f.NewSpan)))
+		}
+		return SpanSize(len(f.OldSpan))
+	case len(f.NewSpan) > 0:
+		return RedoSpanSize(len(f.NewSpan))
+	default:
+		return RecordSize
+	}
+}
+
+// writeFields encodes f into the f.size() bytes at addr with cached stores.
+func writeFields(m *nvm.Memory, addr uint64, f Fields) {
 	if n := len(f.NewSpan); n > 0 && len(f.OldSpan) == 0 {
 		// Redo-only span: truncated header, then the after-image. The
 		// trailing header slots are NOT stored — their offsets are payload.
 		f.Flags |= FlagRedoSpan
-		addr := a.Alloc(RedoSpanSize(n))
 		m.Store64(addr+recHeader, f.LSN<<16|uint64(f.Type)<<8|uint64(f.Flags)&0xff)
 		m.Store64(addr+recTxn, f.Txn)
 		m.Store64(addr+recAddr, f.Addr)
@@ -164,18 +194,12 @@ func AllocDeferred(a *pmem.Allocator, f Fields) Record {
 		for i, v := range f.NewSpan {
 			m.Store64(addr+redoRecPayload+uint64(i)*8, v)
 		}
-		return Record{m, addr}
+		return
 	}
-	size := RecordSize
 	if n := len(f.OldSpan); n > 0 {
-		if len(f.NewSpan) != n {
-			panic(fmt.Sprintf("rlog: span images differ in length (%d old, %d new)", n, len(f.NewSpan)))
-		}
 		f.Flags |= FlagSpan
 		f.Old, f.New = uint64(n), 0
-		size = SpanSize(n)
 	}
-	addr := a.Alloc(size)
 	m.Store64(addr+recHeader, f.LSN<<16|uint64(f.Type)<<8|uint64(f.Flags)&0xff)
 	m.Store64(addr+recTxn, f.Txn)
 	m.Store64(addr+recAddr, f.Addr)
@@ -189,7 +213,6 @@ func AllocDeferred(a *pmem.Allocator, f Fields) Record {
 	for i, v := range f.NewSpan {
 		m.Store64(addr+recPayload+uint64(len(f.OldSpan)+i)*8, v)
 	}
-	return Record{m, addr}
 }
 
 // LSN returns the record ID.

@@ -87,7 +87,61 @@ func TestLogBytesFollowValueLength(t *testing.T) {
 		}
 	}
 
-	_, s := open(rewind.UndoRedo, 0)
+	// The device bill of the same overwrite in steady state, inside one log
+	// bucket: the records pack into the bucket's area, so a commit writes
+	// the lines its 144 (104) log bytes occupy, one line of cells and the
+	// persisted index — no allocator words. While each record was a pmem
+	// block of its own this loop read 9.39 line writes.
+	for _, mode := range []rewind.CommitMode{rewind.UndoRedo, rewind.RedoOnly} {
+		st, s := open(mode, 0)
+		for i := 0; i < 2; i++ { // the insert, then one overwrite to open the bucket
+			if err := s.Put(1, patterned(8, byte(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const n = 64
+		dev := st.Stats()
+		for i := 0; i < n; i++ {
+			if err := s.Put(1, patterned(8, byte(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := float64(st.Stats().Sub(dev).LineWrites) / n; got > 6.0 {
+			t.Errorf("mode %v: steady-state 8-byte overwrite costs %.2f line writes, want <= 6.0", mode, got)
+		}
+	}
+
+	// Shaped as rewindd serves — 64-record flush groups, group commit,
+	// bursts of 16 published overwrites behind one wait — a commit issues
+	// no pmem.Alloc or Free at all: the only non-temporal store left is the
+	// burst's one persisted-index update (the parent paid 9.5 per commit).
+	st, err := rewind.Open(rewind.Options{ArenaSize: 8 << 20, GroupSize: 64, GroupCommit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Create(st, Config{Stripes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	burst := func() {
+		var last rewind.Ticket
+		for i := 0; i < 16; i++ {
+			if last, err = s.PublishPut(1, patterned(8, byte(i)), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.WaitDurable(last, nil)
+	}
+	burst()
+	dev := st.Stats()
+	for i := 0; i < 4; i++ {
+		burst()
+	}
+	if got := float64(st.Stats().Sub(dev).NTStores) / 64; got > 0.2 {
+		t.Errorf("pipelined 8-byte overwrite issues %.2f non-temporal stores per commit, want <= 0.2: the allocator is back on the commit path", got)
+	}
+
+	_, s = open(rewind.UndoRedo, 0)
 	v := patterned(16, 3)
 	if err := s.Put(1, v); err != nil {
 		t.Fatal(err)

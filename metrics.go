@@ -41,16 +41,18 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 		emit("rewind_gc_grouped_commits_total", "Commits that shared a group-commit round with at least one other transaction.", grouped)
 		emit("rewind_commits_uncontended_total", "Commits that acquired their shard without waiting.", uncontended)
 
-		var live, buckets int64
+		var live, buckets, occupied int64
 		for i := 0; i < s.tm.NumShards(); i++ {
 			if l := s.tm.ShardLog(i); l != nil {
-				rec, bk := l.Occupancy()
+				rec, bk, bytes := l.Occupancy()
 				live += int64(rec)
 				buckets += int64(bk)
+				occupied += bytes
 			}
 		}
 		emit("rewind_log_live_records", "Log records currently live (not yet cleared) across all shards.", live)
 		emit("rewind_log_buckets", "Log buckets currently allocated across all shards.", buckets)
+		emit("rewind_log_occupancy_bytes", "Bytes of the log buckets currently allocated across all shards, records included.", occupied)
 
 		ck := s.LastCheckpoint()
 		emit("rewind_checkpoint_last_chunks", "Freeze windows taken by the most recent checkpoint.", int64(ck.Chunks))

@@ -82,6 +82,7 @@ func TestMetricsEndpointSmoke(t *testing.T) {
 		"rewind_commit_flush_fence_wall_ns", "rewind_commit_publish_wall_ns",
 		"rewind_device_fences_total", "rewind_device_flushes_total",
 		"rewind_log_bytes_total", "rewind_gc_rounds_total",
+		"rewind_log_live_records", "rewind_log_buckets", "rewind_log_occupancy_bytes",
 		"rewind_checkpoint_last_max_pause_ns",
 		"rewind_kv_puts_total", "rewind_server_requests_total",
 	} {
