@@ -50,8 +50,8 @@ type ServerStats struct {
 	DeviceFences, DeviceFlushes, DeviceLineWrites, DeviceSimNs int64
 	// Latency and CommitPhases are the observability histogram summaries,
 	// keyed by op kind ("get", "put", ...) and commit phase ("latch_wait",
-	// "flush_fence", ...). Nil when the server runs with -obs-off or
-	// predates them.
+	// "flush_fence", ...). Nil when the server was embedded without an
+	// Obs or predates them.
 	Latency      map[string]LatencySummary
 	CommitPhases map[string]LatencySummary
 	SlowOps      int64

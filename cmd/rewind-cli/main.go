@@ -14,8 +14,8 @@
 //
 // Keys are uint64s; values are arbitrary strings. bench floods the daemon
 // with pipelined PUTs from -c concurrent connections and reports acked
-// ops/sec — a quick way to watch group commit earn its keep (compare a
-// daemon started with -group-commit=false).
+// ops/sec — a quick way to watch group commit earn its keep (stats shows
+// the commits each flush covered).
 //
 // cas atomically replaces <expect> with <value>; "-" for <expect> means
 // "only if absent" and "-" for <value> means "delete on match". putnx is

@@ -43,41 +43,35 @@ func WritePath(scale Scale) Figure {
 			writePathWriters, serverFenceLatency),
 	}
 	type line struct {
-		name   string
-		serial bool
-		insert bool
+		name, fence string // the rate series and its fences-per-op companion
+		serial      bool
+		insert      bool
 	}
 	lines := []line{
-		{"fine ow", false, false},
-		{"serial ow", true, false},
-		{"fine ins", false, true},
-		{"serial ins", true, true},
+		{"fine ow", "fence/op ow fine", false, false},
+		{"serial ow", "fence/op ow serial", true, false},
+		{"fine ins", "fence/op ins fine", false, true},
+		{"serial ins", "fence/op ins serial", true, true},
 	}
 	series := make([]Series, len(lines))
-	var hitPts, fenceFinePts, fenceSerialPts []Point
+	fences := make([]Series, len(lines))
+	var hitPts []Point
 	for i, l := range lines {
 		series[i].Name = l.name
+		fences[i].Name = l.fence
 		for _, stripes := range []int{1, 4, 8} {
 			r := writePathPoint(l.serial, l.insert, stripes, opsPerWriter)
 			series[i].Points = append(series[i].Points,
 				Point{X: float64(stripes), Y: float64(r.ops) / r.simSec / 1e3})
-			if !l.insert {
-				fp := Point{X: float64(stripes), Y: r.fencesPerOp}
-				if l.serial {
-					fenceSerialPts = append(fenceSerialPts, fp)
-				} else {
-					fenceFinePts = append(fenceFinePts, fp)
-					hitPts = append(hitPts, Point{X: float64(stripes), Y: r.hitRatio * 100})
-				}
+			fences[i].Points = append(fences[i].Points, Point{X: float64(stripes), Y: r.fencesPerOp})
+			if !l.insert && !l.serial {
+				hitPts = append(hitPts, Point{X: float64(stripes), Y: r.hitRatio * 100})
 			}
 		}
 	}
 	fig.Series = append(fig.Series, series...)
-	fig.Series = append(fig.Series,
-		Series{Name: "fastpath% ow", Points: hitPts},
-		Series{Name: "fence/op ow fine", Points: fenceFinePts},
-		Series{Name: "fence/op ow serial", Points: fenceSerialPts},
-	)
+	fig.Series = append(fig.Series, Series{Name: "fastpath% ow", Points: hitPts})
+	fig.Series = append(fig.Series, fences...)
 	return fig
 }
 

@@ -60,9 +60,9 @@ func (tm *TM) Checkpoint() { tm.CheckpointPaced(0) }
 //     each shard (before the residual flush — the other order could make
 //     records appended during the flush look persistent), the remaining
 //     dirty lines (at most ~budget, the pre-flush drained the rest) are
-//     flushed, and the transactions finished by now are snapshotted;
+//     flushed, and every shard's finished list is taken;
 //  3. clearing — each shard is then cleared independently with no locks
-//     held, exactly as before: the records of snapshotted transactions are
+//     held, exactly as before: the records of the transactions taken are
 //     removed, applying committed DELETE deallocations on the way.
 //
 // The pause any committing transaction can observe is one freeze: the
@@ -114,13 +114,10 @@ func (tm *TM) CheckpointPaced(budgetLines int) CheckpointStats {
 
 	// Step 2: the stamp round. Every record already in any shard got its
 	// LSN before the stamp, so it compares below its shard's checkpoint
-	// LSN; the snapshot happens inside the freeze, so a transaction is
-	// either finished with its END durably below the stamp or left intact
-	// for the next checkpoint.
-	type doneTxn struct {
-		id        uint64
-		committed bool
-	}
+	// LSN; the finished lists are taken inside the freeze, and an entry joins
+	// its list under the shard-mutex hold that appends its END (retire), so
+	// a transaction is either taken with its END durably below the stamp or
+	// left whole — records and entry — for the next checkpoint.
 	var done []doneTxn
 	ckptLSN := make([]uint64, len(tm.shards))
 	freeze(-1, func() {
@@ -133,14 +130,11 @@ func (tm *TM) CheckpointPaced(budgetLines int) CheckpointStats {
 		} else {
 			ckptLSN[0] = tm.lsn.Load()
 		}
-		tm.mu.Lock()
-		for _, x := range tm.table {
-			if x.status == statusFinished {
-				done = append(done, doneTxn{x.id, !x.aborted})
-			}
+		for _, sh := range tm.shards {
+			done = append(done, sh.finished...)
+			sh.finished = sh.finished[:0]
 		}
-		tm.stats.Checkpoints++
-		tm.mu.Unlock()
+		tm.checkpoints.Add(1)
 	})
 
 	// Step 3: clear shard by shard, appends elsewhere unimpeded.
@@ -174,9 +168,6 @@ func (tm *TM) CheckpointPaced(budgetLines int) CheckpointStats {
 	cs.Cleared = len(done)
 	cs.TotalNs = time.Since(start).Nanoseconds()
 	tm.mu.Lock()
-	for _, d := range done {
-		delete(tm.table, d.id)
-	}
 	tm.lastCkpt = cs
 	tm.mu.Unlock()
 	return cs

@@ -26,8 +26,9 @@ func trafficCfg(shards int) Config {
 //
 //  1. concurrency: committers on every shard race several small-budget
 //     paced checkpoints — freezes, stamps and clearing scans interleave
-//     with appends and group flushes — and a few transactions are left
-//     open, then the committers are joined;
+//     with appends, group flushes and the CLRs of every third
+//     transaction's rolled-back companion — and a few transactions are
+//     left open, then the committers are joined;
 //  2. injection: with the image mid-life (dirty cache, part-cleared logs,
 //     stale stamps, live losers), the countdown is armed and one more
 //     incremental checkpoint runs, crashing before the crashAt-th durable
@@ -39,8 +40,10 @@ func trafficCfg(shards int) Config {
 // the cut must read back intact, every transaction must be all-or-none
 // (both words of its pair or neither — a cleared-then-resurrected record
 // or a user write flushed ahead of its log record would break exactly
-// this), losers must be gone, and the recovered store must serve fresh
-// transactions and a clean quiescent checkpoint.
+// this), losers and rolled-back transactions must be gone — whether a
+// checkpoint cleared the rollback's records or recovery replayed them —
+// and the recovered store must serve fresh transactions and a clean
+// quiescent checkpoint.
 func TestCheckpointUnderTraffic(t *testing.T) {
 	stride := 1
 	if testing.Short() {
@@ -62,6 +65,11 @@ func TestCheckpointUnderTraffic(t *testing.T) {
 			regions[w] = dataBlock(a, 2048, uint64(100_000*(w+1)))
 		}
 		val := func(w, i int) uint64 { return uint64(1000*(w+1) + 2*i) }
+		// Every third transaction has a companion that writes a pair of its
+		// own, well clear of the committed pairs and the losers, and rolls
+		// back.
+		const rbSlot = 512
+		rbAddr := func(w, i int) uint64 { return regions[w] + uint64((rbSlot+i)*16) }
 
 		// Act 1: committers race unarmed paced checkpoints, so the image
 		// the injected checkpoint will walk is mid-life, not pristine.
@@ -103,6 +111,22 @@ func TestCheckpointUnderTraffic(t *testing.T) {
 						return
 					}
 					acked[w].Store(int64(i) + 1)
+					if i%3 != 0 {
+						continue
+					}
+					rb := tm.Begin()
+					if err := rb.Write64(rbAddr(w, i), 777_000); err != nil {
+						t.Error(err)
+						return
+					}
+					if err := rb.Write64(rbAddr(w, i)+8, 777_001); err != nil {
+						t.Error(err)
+						return
+					}
+					if err := rb.Rollback(); err != nil {
+						t.Error(err)
+						return
+					}
 				}
 			}(w)
 		}
@@ -161,6 +185,14 @@ func TestCheckpointUnderTraffic(t *testing.T) {
 					t.Fatalf("crashAt=%d: worker %d txn %d acked but lost (%d,%d)", crashAt, w, i, g0, g1)
 				case !isNew && !isOld:
 					t.Fatalf("crashAt=%d: worker %d txn %d torn: (%d,%d)", crashAt, w, i, g0, g1)
+				}
+			}
+		}
+		for w := 0; w < workers; w++ {
+			for i := 0; i < txnsPerW; i += 3 {
+				init := uint64(100_000*(w+1) + 2*(rbSlot+i))
+				if g0, g1 := m.Load64(rbAddr(w, i)), m.Load64(rbAddr(w, i)+8); g0 != init || g1 != init+1 {
+					t.Fatalf("crashAt=%d: worker %d rollback %d resurfaced: (%d,%d)", crashAt, w, i, g0, g1)
 				}
 			}
 		}

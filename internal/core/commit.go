@@ -40,19 +40,20 @@ func (x *Txn) WaitDurable() { x.tm.WaitDurable(x.ticket, x.span) }
 // the handle — so commits on different shards proceed in parallel.
 //
 // The transaction is finished for the manager from here on, whether or not
-// anybody ever waits on the ticket: it is marked finished in the (volatile)
-// table, counted committed, and leaves the shard's running count, all
-// strictly after its END record is in the log. That is the invariant
-// checkpoints rely on when they clear finished transactions — the stamp
-// round forces every shard under its mutex before it snapshots the table,
-// so a transaction it sees finished has its END durably below the stamp —
-// and it is why an abandoned ticket (a connection that died mid-burst)
-// leaks no table entry.
+// anybody ever waits on the ticket: it is counted committed, leaves the
+// shard's running count and joins the shard's finished list (retire), all
+// under the shard-mutex hold that put its END record in the log. That is
+// the invariant checkpoints rely on when they clear finished transactions
+// — the stamp round forces every shard under its mutex before it takes the
+// lists, so a transaction it finds there has its END durably below the
+// stamp — and it is why an abandoned ticket (a connection that died
+// mid-burst) leaks nothing.
 func (x *Txn) Publish() (Ticket, error) {
 	if err := x.running(); err != nil {
 		return Ticket{}, err
 	}
-	if x.st.buf != nil {
+	x.status = statusFinished
+	if x.buf != nil {
 		return x.publishRedoOnly(false), nil
 	}
 	tm, sh := x.tm, x.sh
@@ -77,7 +78,7 @@ func (x *Txn) Publish() (Ticket, error) {
 	// that is what makes shard-pinned pipelining (BeginOn) crash-consistent
 	// — and must never stay held across a fence.
 	x.ticket = Ticket{Shard: sh.idx, Seq: sh.endSeq.Add(1)}
-	tm.appendShard(sh, x.st, rlog.Fields{Txn: x.st.id, Type: rlog.TypeEnd}, false)
+	tm.appendShard(sh, x, rlog.Fields{Txn: x.id, Type: rlog.TypeEnd}, false)
 	pc.mark(obs.PhaseLogAppend)
 	x.firePublish()
 	pc.mark(obs.PhasePublish)
@@ -85,31 +86,44 @@ func (x *Txn) Publish() (Ticket, error) {
 		tm.forceLogShard(sh)
 		pc.mark(obs.PhaseFlushFence)
 	}
+	x.retireCommit(contended)
 	sh.mu.Unlock()
-	x.finish(contended)
 
 	if tm.cfg.Policy == Force {
-		tm.clearFinished(x.st, true)
-		tm.mu.Lock()
-		delete(tm.table, x.st.id)
-		tm.mu.Unlock()
+		tm.clearFinished(x, true)
 	}
 	return x.ticket, nil
 }
 
-// finish does the manager's bookkeeping for a transaction whose END has
-// just joined its shard log (see Publish for why this is the right moment).
-func (x *Txn) finish(contended bool) {
-	tm, sh := x.tm, x.sh
+// retireCommit does the manager's bookkeeping for a commit whose END has
+// just joined its shard log. Callers hold sh.mu.
+func (x *Txn) retireCommit(contended bool) {
+	sh := x.sh
 	sh.commits.Add(1)
 	if !contended {
 		sh.uncontended.Add(1)
 	}
-	tm.mu.Lock()
-	x.st.status = statusFinished
-	tm.stats.Committed++
-	tm.mu.Unlock()
+	x.tm.committed.Add(1)
+	x.retire()
+}
+
+// retire takes a transaction whose END has just joined its shard log off
+// the shard's running count and, where a checkpoint will have to clear its
+// records (NoForce; Force clears at commit and never checkpoints), onto the
+// shard's finished list. Callers hold sh.mu — the same hold that appended
+// the END, see Publish.
+func (x *Txn) retire() {
+	sh := x.sh
+	if x.tm.cfg.Policy == NoForce {
+		sh.finished = append(sh.finished, doneTxn{x.id, !x.aborted})
+	}
 	sh.running.Add(-1)
+}
+
+// Durable reports whether a log force already covers the ticket's END
+// record; the zero Ticket is.
+func (tm *TM) Durable(t Ticket) bool {
+	return t.Seq == 0 || tm.shards[t.Shard].durable.Load() >= t.Seq
 }
 
 // WaitDurable blocks until a log force covers the ticket's END record
@@ -141,13 +155,10 @@ func (x *Txn) finish(contended bool) {
 // shard acquisition is gather and the shared force is flush+fence. A
 // ticket found durable records no phase.
 func (tm *TM) WaitDurable(t Ticket, span *obs.Span) {
-	if t.Seq == 0 {
+	if tm.Durable(t) {
 		return
 	}
 	sh := tm.shards[t.Shard]
-	if sh.durable.Load() >= t.Seq {
-		return
-	}
 	pc := tm.startPhases(span)
 	sh.gcMu.Lock()
 	if sh.durable.Load() >= t.Seq {
@@ -242,7 +253,7 @@ func (tm *TM) WaitDurable(t Ticket, span *obs.Span) {
 // before anybody blocks on durability. keepLog skips Force's commit-time
 // clearing and forces the END here, for the recovery experiments.
 func (x *Txn) publishRedoOnly(keepLog bool) Ticket {
-	tm, sh, b := x.tm, x.sh, x.st.buf
+	tm, sh, b := x.tm, x.sh, x.buf
 	gc := tm.cfg.GroupCommit && !keepLog
 
 	addrs := make([]uint64, 0, len(b.writes))
@@ -263,18 +274,18 @@ func (x *Txn) publishRedoOnly(keepLog bool) Ticket {
 		for k := i; k < j; k++ {
 			vals[k-i] = b.writes[addrs[k]]
 		}
-		tm.appendShard(sh, x.st, rlog.Fields{
-			Txn: x.st.id, Type: rlog.TypeUpdate, Addr: addrs[i], NewSpan: vals,
+		tm.appendShard(sh, x, rlog.Fields{
+			Txn: x.id, Type: rlog.TypeUpdate, Addr: addrs[i], NewSpan: vals,
 		}, false)
 		i = j
 	}
 	for _, d := range b.deletes {
-		tm.appendShard(sh, x.st, rlog.Fields{Txn: x.st.id, Type: rlog.TypeDelete, Addr: d}, false)
+		tm.appendShard(sh, x, rlog.Fields{Txn: x.id, Type: rlog.TypeDelete, Addr: d}, false)
 	}
 	x.ticket = Ticket{Shard: sh.idx, Seq: sh.endSeq.Add(1)}
 	if tm.cfg.Policy == Force {
 		pc.mark(obs.PhaseLogAppend) // the span + DELETE records above
-		tm.appendShard(sh, x.st, rlog.Fields{Txn: x.st.id, Type: rlog.TypeEnd}, true)
+		tm.appendShard(sh, x, rlog.Fields{Txn: x.id, Type: rlog.TypeEnd}, true)
 		tm.forceLogShard(sh)
 		tm.mem.Fence()
 		pc.mark(obs.PhaseFlushFence) // END and its covering force
@@ -285,7 +296,7 @@ func (x *Txn) publishRedoOnly(keepLog bool) Ticket {
 		tm.mem.Fence()
 		pc.mark(obs.PhasePublish)
 	} else {
-		tm.appendShard(sh, x.st, rlog.Fields{Txn: x.st.id, Type: rlog.TypeEnd}, !gc)
+		tm.appendShard(sh, x, rlog.Fields{Txn: x.id, Type: rlog.TypeEnd}, !gc)
 		if !gc {
 			sh.durable.Store(sh.endSeq.Load()) // the END forced its own group flush
 		}
@@ -296,15 +307,12 @@ func (x *Txn) publishRedoOnly(keepLog bool) Ticket {
 		x.firePublish()
 		pc.mark(obs.PhasePublish)
 	}
+	x.retireCommit(contended)
 	sh.mu.Unlock()
-	x.finish(contended)
-	x.st.buf = nil
+	x.buf = nil
 
 	if tm.cfg.Policy == Force && !keepLog {
-		tm.clearFinished(x.st, true)
-		tm.mu.Lock()
-		delete(tm.table, x.st.id)
-		tm.mu.Unlock()
+		tm.clearFinished(x, true)
 	}
 	return x.ticket
 }
@@ -318,7 +326,8 @@ func (x *Txn) CommitKeepLog() error {
 	if err := x.running(); err != nil {
 		return err
 	}
-	if x.st.buf != nil {
+	x.status = statusFinished
+	if x.buf != nil {
 		x.publishRedoOnly(true)
 		return nil
 	}
@@ -330,11 +339,11 @@ func (x *Txn) CommitKeepLog() error {
 	}
 	// Same ordering as Publish: END in the log, then the hook, then the
 	// per-commit flush (no group rounds on this path).
-	tm.appendShard(sh, x.st, rlog.Fields{Txn: x.st.id, Type: rlog.TypeEnd}, false)
+	tm.appendShard(sh, x, rlog.Fields{Txn: x.id, Type: rlog.TypeEnd}, false)
 	x.firePublish()
 	tm.forceLogShard(sh)
+	x.retireCommit(contended)
 	sh.mu.Unlock()
-	x.finish(contended)
 	return nil
 }
 
@@ -349,37 +358,27 @@ func (x *Txn) Rollback() error {
 		return err
 	}
 	tm, sh := x.tm, x.sh
-	if x.st.buf != nil {
+	x.status, x.aborted = statusFinished, true
+	x.onPublish = nil
+	if x.buf != nil {
 		// RedoOnly: nothing reached the log or the shared image, so the
 		// abort is a buffer discard — no ROLLBACK record, no CLRs, no log
-		// traffic at all. The table entry can go immediately: with zero
-		// records logged there is nothing for recovery or checkpoints to
-		// resolve.
-		x.onPublish = nil
-		x.st.buf = nil
-		tm.mu.Lock()
-		x.st.status = statusFinished
-		x.st.aborted = true
-		tm.stats.RolledBack++
-		delete(tm.table, x.st.id)
-		tm.mu.Unlock()
+		// traffic at all, and with zero records logged nothing for recovery
+		// or a checkpoint to resolve.
+		x.buf = nil
+		tm.rolledBack.Add(1)
 		sh.running.Add(-1)
 		return nil
 	}
-	x.onPublish = nil
-	tm.mu.Lock()
-	x.st.status = statusAborted
-	x.st.aborted = true
-	tm.mu.Unlock()
 
 	sh.mu.Lock()
-	tm.appendShard(sh, x.st, rlog.Fields{Txn: x.st.id, Type: rlog.TypeRollback}, false)
+	tm.appendShard(sh, x, rlog.Fields{Txn: x.id, Type: rlog.TypeRollback}, false)
 	sh.mu.Unlock()
 
 	if tm.cfg.Layers == TwoLayer {
-		tm.rollbackChain(sh, x.st)
+		tm.rollbackChain(sh, x)
 	} else {
-		tm.rollbackScan(sh, x.st)
+		tm.rollbackScan(sh, x)
 	}
 
 	sh.mu.Lock()
@@ -391,50 +390,15 @@ func (x *Txn) Rollback() error {
 		tm.forceLogShard(sh)
 		tm.mem.Fence()
 	}
-	tm.appendShard(sh, x.st, rlog.Fields{Txn: x.st.id, Type: rlog.TypeEnd}, true)
+	tm.appendShard(sh, x, rlog.Fields{Txn: x.id, Type: rlog.TypeEnd}, true)
+	tm.rolledBack.Add(1)
+	x.retire()
 	sh.mu.Unlock()
 
-	tm.mu.Lock()
-	x.st.status = statusFinished
-	tm.stats.RolledBack++
-	tm.mu.Unlock()
-	sh.running.Add(-1)
-
 	if tm.cfg.Policy == Force {
-		tm.clearFinished(x.st, false)
-		tm.mu.Lock()
-		delete(tm.table, x.st.id)
-		tm.mu.Unlock()
+		tm.clearFinished(x, false)
 	}
 	return nil
-}
-
-// Commit is the tid-based compatibility wrapper over Txn.Commit.
-func (tm *TM) Commit(tid uint64) error {
-	x, err := tm.handle(tid)
-	if err != nil {
-		return err
-	}
-	return x.Commit()
-}
-
-// CommitKeepLog is the tid-based compatibility wrapper over
-// Txn.CommitKeepLog.
-func (tm *TM) CommitKeepLog(tid uint64) error {
-	x, err := tm.handle(tid)
-	if err != nil {
-		return err
-	}
-	return x.CommitKeepLog()
-}
-
-// Rollback is the tid-based compatibility wrapper over Txn.Rollback.
-func (tm *TM) Rollback(tid uint64) error {
-	x, err := tm.handle(tid)
-	if err != nil {
-		return err
-	}
-	return x.Rollback()
 }
 
 // rollbackScan undoes one transaction by scanning its whole shard backwards
@@ -442,7 +406,7 @@ func (tm *TM) Rollback(tid uint64) error {
 // record of other transactions on the shard is inspected and skipped — the
 // "skip records" whose cost Figures 3 and 4 quantify). Records of other
 // shards are never touched: a transaction's records all live in its shard.
-func (tm *TM) rollbackScan(sh *logShard, x *txnState) {
+func (tm *TM) rollbackScan(sh *logShard, x *Txn) {
 	it := sh.log.End()
 	resume := ^uint64(0)
 	for it.Prev() {
@@ -466,7 +430,7 @@ func (tm *TM) rollbackScan(sh *logShard, x *txnState) {
 
 // rollbackChain undoes one transaction by walking its AAVLT record chain
 // (two-layer: no unrelated records are touched).
-func (tm *TM) rollbackChain(sh *logShard, x *txnState) {
+func (tm *TM) rollbackChain(sh *logShard, x *Txn) {
 	_, tail, ok := tm.tree.Lookup(x.id)
 	if !ok {
 		return
@@ -490,7 +454,7 @@ func (tm *TM) rollbackChain(sh *logShard, x *txnState) {
 
 // compensate writes a CLR for r and applies the undo, taking the shard
 // mutex. See compensateLocked.
-func (tm *TM) compensate(sh *logShard, x *txnState, r rlog.Record) {
+func (tm *TM) compensate(sh *logShard, x *Txn, r rlog.Record) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	tm.compensateLocked(sh, x, r)
@@ -503,7 +467,7 @@ func (tm *TM) compensate(sh *logShard, x *txnState, r rlog.Record) {
 // the undo stays a single log insert however wide the span. Under Force
 // the undo itself is written durably (§4.4: "under the force policy the
 // undos should be made persistent as well"). Callers hold sh.mu.
-func (tm *TM) compensateLocked(sh *logShard, x *txnState, r rlog.Record) {
+func (tm *TM) compensateLocked(sh *logShard, x *Txn, r rlog.Record) {
 	if n := r.Words(); n > 1 {
 		oldS, newS := sh.spanImages(n)
 		for i := 0; i < n; i++ {
@@ -537,7 +501,7 @@ func (tm *TM) compensateLocked(sh *logShard, x *txnState, r rlog.Record) {
 // never free). The forward direction makes the END record the last one
 // removed, so a crash mid-clear leaves the transaction still marked
 // finished and the next attempt repeats identically.
-func (tm *TM) clearFinished(x *txnState, commit bool) {
+func (tm *TM) clearFinished(x *Txn, commit bool) {
 	if tm.cfg.Layers == TwoLayer {
 		tm.clearFinishedChain(x.id, commit)
 		return

@@ -61,16 +61,21 @@
 // 7-word record per word: one log insert and — under Simple/Optimized —
 // one flush + fence per span, the amortization in-cache-line logging
 // systems apply to cache-line units. Rollback and recovery compensate a
-// span with one span CLR and redo/undo it word-wise. Second, Begin returns
-// a *Txn handle carrying the transaction's shard pointer and table entry,
-// so the hot path never takes the manager's global mutex; the tid-keyed
-// table stays underneath for recovery and checkpointing, reachable through
-// tid-based compatibility wrappers.
+// span with one span CLR and redo/undo it word-wise. Second, a transaction
+// is one object: Begin returns the *Txn that carries its shard pointer and
+// all of its volatile state, every operation is a method on it, and a live
+// manager keeps no table of transactions at all (§2: the one-layer
+// configuration "keeps no per-transaction state while logging"). A finished
+// transaction leaves an {id, committed} entry on its shard's finished list,
+// under the same shard-mutex hold that appends its END record, for the next
+// checkpoint to clear; the tid-keyed table of §4.1 exists only inside
+// recovery, which rebuilds it by analysis and drops it when it is done.
 //
-// Lock order: shard mutexes (ascending index) before the manager's table
-// mutex. Concurrency control over user data remains the caller's job
-// (§4.7): two transactions racing on the same word are as unsynchronized
-// here as on real hardware.
+// Lock order: shard mutexes (ascending index) before the manager's mutex,
+// which guards only the last checkpoint's report and the first-use dirty
+// mark. Concurrency control over user data remains the caller's job (§4.7):
+// two transactions racing on the same word are as unsynchronized here as on
+// real hardware.
 package core
 
 import (
@@ -345,25 +350,6 @@ func (c Config) String() string {
 	return s
 }
 
-// txnState is the volatile transaction-table entry (§4.1). It is never
-// persisted: the one-layer configuration reconstructs it during recovery,
-// and the two-layer configuration additionally maintains it while logging.
-// id and status are guarded by TM.mu; the remaining fields belong to the
-// transaction's own goroutine (a Tx is single-goroutine) and are only read
-// by others inside recovery, which is single-threaded.
-type txnState struct {
-	id      uint64
-	status  status
-	aborted bool // finished by rollback: DELETE records must not free
-	lastLSN uint64
-	lastRec uint64 // address of the newest record (two-layer chain tail)
-	records int
-	// buf is the RedoOnly private write set; nil under UndoRedo. It lives
-	// on the table entry, not the handle, so tid-based wrappers (which
-	// build a fresh handle per call) see the same buffer.
-	buf *redoBuf
-}
-
 // redoBuf is a RedoOnly transaction's private buffer: every write lands
 // here — plain Go memory, gone on crash or rollback — and nothing reaches
 // the log or the shared image before commit. Word-keyed, last write wins.
@@ -391,22 +377,32 @@ type Ticket struct {
 	Seq   uint64
 }
 
-// Txn is a handle on one running transaction: it carries the transaction's
-// shard pointer and table entry, so the hot path (Write64, WriteBytes,
-// Delete, Commit, Rollback) goes handle→shard directly, with no tid-keyed
-// map lookup under the manager's global mutex per call. The tid-keyed table
-// remains behind it for recovery and checkpointing, and the tid-based TM
-// methods stay as thin compatibility wrappers that resolve a handle first.
+// Txn is one transaction: the handle Begin returns, the volatile state the
+// paper keeps in a transaction-table entry (§4.1), and — inside recovery
+// only — the entry analysis rebuilds. Nothing in a live manager points at
+// it, so it is collectable the moment its caller drops it.
 //
 // A Txn is not safe for concurrent use by multiple goroutines; run one
-// transaction per goroutine (the manager itself is concurrent). The status
-// check on each call reads the entry without the global mutex: the only
-// writers are the handle's own goroutine (Commit/Rollback) and recovery,
-// which never runs concurrently with live handles.
+// transaction per goroutine (the manager itself is concurrent). Every field
+// belongs to that goroutine; recovery, which is the only other writer, never
+// runs concurrently with live handles.
 type Txn struct {
 	tm *TM
 	sh *logShard
-	st *txnState
+
+	id uint64
+	// status is statusFinished from the moment Commit, Publish,
+	// CommitKeepLog or Rollback is entered (what Done reports); recovery
+	// also uses statusAborted for a loser found mid-rollback.
+	status  status
+	aborted bool // finished by rollback: DELETE records must not free
+	// lastLSN and lastRec are the tail of the two-layer record chain (the
+	// newest record's LSN and address); one-layer logging keeps neither.
+	lastLSN uint64
+	lastRec uint64
+	// buf is the RedoOnly private write set; nil under UndoRedo.
+	buf *redoBuf
+
 	// onPublish is invoked exactly once inside Commit at the moment every
 	// write is visible in the shared image (see OnPublish).
 	onPublish func()
@@ -418,13 +414,13 @@ type Txn struct {
 }
 
 // ID returns the transaction identifier.
-func (x *Txn) ID() uint64 { return x.st.id }
+func (x *Txn) ID() uint64 { return x.id }
 
 // Buffered reports whether this transaction's writes are held in a private
 // buffer until commit (RedoOnly) rather than applied in place — callers
 // that read the image directly must route reads through Read64/ReadBytes
 // to see their own writes.
-func (x *Txn) Buffered() bool { return x.st.buf != nil }
+func (x *Txn) Buffered() bool { return x.buf != nil }
 
 // Observe attaches an observability span to the transaction: when the
 // manager has a Config.Obs, Commit's per-phase timings are accumulated
@@ -454,13 +450,23 @@ func (x *Txn) firePublish() {
 	}
 }
 
+// Done reports whether the transaction has been committed, published or
+// rolled back (or one of those was started: a transaction whose commit was
+// cut short by a panic is done, not rolled back).
+func (x *Txn) Done() bool { return x.status == statusFinished }
+
 // running rejects use of a finished handle.
 func (x *Txn) running() error {
-	if x.st.status == statusFinished {
+	if x.Done() {
 		return ErrTxnFinished
 	}
 	return nil
 }
+
+// Alloc allocates a persistent block. The allocation itself is not undone
+// by rollback (a crash or abort merely leaks it, as in the paper's model);
+// allocate first, then publish the block with logged writes.
+func (x *Txn) Alloc(size int) uint64 { return x.tm.a.Alloc(size) }
 
 // pendingWrite is a user update waiting for its Batch group flush before it
 // may become durable (§3.3 reordering).
@@ -503,6 +509,12 @@ type logShard struct {
 	// transaction mid-flight is about to append an END the pending flush
 	// can cover for free.
 	running atomic.Int64
+	// finished lists the transactions whose END joined this shard since the
+	// last checkpoint took the list (NoForce only: Force clears at commit).
+	// An entry is appended under the same mu hold that appends its END, so a
+	// checkpoint's stamp freeze — holding mu with the log forced — sees END
+	// and entry together or neither.
+	finished []doneTxn
 
 	appends     atomic.Int64
 	flushes     atomic.Int64
@@ -513,6 +525,13 @@ type logShard struct {
 	// logBytes carries the two-layer configuration's appended-record
 	// footprint; one-layer shards read it from their rlog.Log instead.
 	logBytes atomic.Int64
+}
+
+// doneTxn is a finished transaction awaiting its checkpoint: all that
+// clearing its records needs to know.
+type doneTxn struct {
+	id        uint64
+	committed bool // false: rolled back, its DELETE records must not free
 }
 
 // spanImages returns two n-word scratch slices for a span record's old and
@@ -650,11 +669,20 @@ type TM struct {
 	lsn     atomic.Uint64
 	lastTxn atomic.Uint64 // last assigned transaction id
 
-	mu    sync.Mutex // guards table, scalar stats, dirty marking
-	table map[uint64]*txnState
+	begun, committed, rolledBack, checkpoints atomic.Int64
 
-	stats    Stats
+	// dirty mirrors the state block's dirty word, so only the first Begin
+	// after New, Open or Close pays for the device (markDirty).
+	dirty atomic.Bool
+
+	mu       sync.Mutex      // guards lastCkpt and the dirty word's slow path
 	lastCkpt CheckpointStats // most recent checkpoint's pacing report
+
+	// table is the transaction table of §4.1. It exists only while Open
+	// runs recovery, which rebuilds it by analysis; a live manager keeps
+	// none (nil): a running transaction is its handle, a finished one an
+	// entry on its shard's finished list.
+	table map[uint64]*Txn
 }
 
 // New creates a fresh manager on a formatted heap.
@@ -670,7 +698,7 @@ func New(a *pmem.Allocator, cfg Config) (*TM, error) {
 	m.Fence()
 	a.SetRoot(cfg.RootBase+slotState, state)
 
-	tm := &TM{mem: m, a: a, cfg: cfg, state: state, table: map[uint64]*txnState{}}
+	tm := &TM{mem: m, a: a, cfg: cfg, state: state}
 	if cfg.Layers == TwoLayer {
 		// In the two-layer configuration the ADLL's role is played by the
 		// AAVLT's internal mini-log; there is no separate primary log.
@@ -708,7 +736,7 @@ func Open(a *pmem.Allocator, cfg Config) (*TM, *RecoveryStats, error) {
 		return nil, nil, fmt.Errorf("core: configuration fingerprint mismatch (stored %#x, config %v)", fp, cfg)
 	}
 
-	tm := &TM{mem: m, a: a, cfg: cfg, state: state, table: map[uint64]*txnState{}}
+	tm := &TM{mem: m, a: a, cfg: cfg, state: state, table: map[uint64]*Txn{}}
 	if cfg.Layers == TwoLayer {
 		tree, err := avl.Open(a, avl.Config{
 			TreeSlot: cfg.RootBase + slotTree, LogSlot: cfg.RootBase + slotTreeLog,
@@ -765,10 +793,13 @@ func (tm *TM) Tree() *avl.Tree { return tm.tree }
 
 // Stats returns a snapshot of manager activity counters.
 func (tm *TM) Stats() Stats {
-	tm.mu.Lock()
-	s := tm.stats
-	tm.mu.Unlock()
-	s.Shards = make([]ShardStats, len(tm.shards))
+	s := Stats{
+		Begun:       tm.begun.Load(),
+		Committed:   tm.committed.Load(),
+		RolledBack:  tm.rolledBack.Load(),
+		Checkpoints: tm.checkpoints.Load(),
+		Shards:      make([]ShardStats, len(tm.shards)),
+	}
 	for i, sh := range tm.shards {
 		bytes := sh.logBytes.Load()
 		if sh.log != nil {
@@ -792,36 +823,16 @@ func (tm *TM) Stats() Stats {
 // ActiveTxns returns the number of transactions currently running or
 // aborting.
 func (tm *TM) ActiveTxns() int {
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	n := 0
-	for _, x := range tm.table {
-		if x.status != statusFinished {
-			n++
-		}
+	n := int64(0)
+	for _, sh := range tm.shards {
+		n += sh.running.Load()
 	}
-	return n
+	return int(n)
 }
 
 // shardFor returns the shard transaction tid is striped to.
 func (tm *TM) shardFor(tid uint64) *logShard {
 	return tm.shards[tid%uint64(len(tm.shards))]
-}
-
-// handle resolves a transaction id to a handle through the tid-keyed table
-// — the slow path behind the compatibility wrappers. Handle holders skip
-// this lookup (and its global mutex) entirely.
-func (tm *TM) handle(tid uint64) (*Txn, error) {
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	st, ok := tm.table[tid]
-	if !ok {
-		return nil, ErrUnknownTxn
-	}
-	if st.status == statusFinished {
-		return nil, ErrTxnFinished
-	}
-	return &Txn{tm: tm, sh: tm.shardFor(tid), st: st}, nil
 }
 
 // lock acquires the shard mutex, reporting whether the acquisition had to
@@ -836,11 +847,21 @@ func (sh *logShard) lock() (contended bool) {
 }
 
 // markDirty durably records activity so a later Open can report whether a
-// crash (rather than a clean Close) preceded it. Callers hold mu.
+// crash (rather than a clean Close) preceded it. The word changes only at
+// first use, Close and the end of recovery, so all but the first caller
+// return on the volatile mirror; the first issues the store under mu, so
+// nobody passes this point — and no log record can become durable — before
+// the mark has been issued.
 func (tm *TM) markDirty() {
-	if tm.mem.Load64(tm.state+stDirty) == 0 {
-		tm.mem.StoreNT64(tm.state+stDirty, 1)
+	if tm.dirty.Load() {
+		return
 	}
+	tm.mu.Lock()
+	if !tm.dirty.Load() {
+		tm.mem.StoreNT64(tm.state+stDirty, 1)
+		tm.dirty.Store(true)
+	}
+	tm.mu.Unlock()
 }
 
 // Close marks a clean shutdown. Under NoForce it checkpoints first so the
@@ -853,22 +874,20 @@ func (tm *TM) Close() {
 	}
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
-	active := false
-	for _, x := range tm.table {
-		if x.status != statusFinished {
-			active = true
-			break
-		}
+	// Drop the mirror first: a Begin racing this Close either was counted
+	// running before the swap, and is seen below, or finds the mirror down
+	// and re-marks under mu once Close is through.
+	was := tm.dirty.Swap(false)
+	if tm.ActiveTxns() > 0 {
+		tm.dirty.Store(was)
+		return
 	}
-	if !active {
-		tm.mem.StoreNT64(tm.state+stDirty, 0)
-		tm.mem.Fence()
-	}
+	tm.mem.StoreNT64(tm.state+stDirty, 0)
+	tm.mem.Fence()
 }
 
 // Errors returned by transaction operations.
 var (
-	ErrUnknownTxn  = errors.New("core: unknown transaction")
 	ErrTxnFinished = errors.New("core: transaction already finished")
 	// ErrUnalignedWrite is returned by WriteBytes when the target address
 	// is not 8-byte aligned: physical logging works on whole words.

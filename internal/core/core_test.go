@@ -69,13 +69,13 @@ func TestCommitMakesUpdatesDurable(t *testing.T) {
 			data := dataBlock(a, 8, 100)
 			a.SetRoot(30, data)
 
-			tid := tm.Begin().ID()
+			tx := tm.Begin()
 			for i := uint64(0); i < 8; i++ {
-				if err := tm.Write64(tid, data+i*8, 200+i); err != nil {
+				if err := tx.Write64(data+i*8, 200+i); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := tm.Commit(tid); err != nil {
+			if err := tx.Commit(); err != nil {
 				t.Fatal(err)
 			}
 			if err := m.Crash(); err != nil {
@@ -109,9 +109,9 @@ func TestUncommittedUpdatesRolledBackOnRecovery(t *testing.T) {
 			data := dataBlock(a, 8, 100)
 			a.SetRoot(30, data)
 
-			tid := tm.Begin().ID()
+			tx := tm.Begin()
 			for i := uint64(0); i < 8; i++ {
-				if err := tm.Write64(tid, data+i*8, 200+i); err != nil {
+				if err := tx.Write64(data+i*8, 200+i); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -145,17 +145,17 @@ func TestExplicitRollbackRestoresOldValues(t *testing.T) {
 		t.Run(cfg.String(), func(t *testing.T) {
 			_, a, tm := newTM(t, cfg)
 			data := dataBlock(a, 4, 10)
-			tid := tm.Begin().ID()
+			tx := tm.Begin()
 			for i := uint64(0); i < 4; i++ {
-				if err := tm.Write64(tid, data+i*8, 99); err != nil {
+				if err := tx.Write64(data+i*8, 99); err != nil {
 					t.Fatal(err)
 				}
 			}
 			// Overwrite one slot twice: undo must restore the original.
-			if err := tm.Write64(tid, data, 77); err != nil {
+			if err := tx.Write64(data, 77); err != nil {
 				t.Fatal(err)
 			}
-			if err := tm.Rollback(tid); err != nil {
+			if err := tx.Rollback(); err != nil {
 				t.Fatal(err)
 			}
 			for i := uint64(0); i < 4; i++ {
@@ -164,7 +164,7 @@ func TestExplicitRollbackRestoresOldValues(t *testing.T) {
 				}
 			}
 			// The transaction is finished: further use must fail.
-			if err := tm.Write64(tid, data, 1); err == nil {
+			if err := tx.Write64(data, 1); err == nil {
 				t.Fatal("write after rollback succeeded")
 			}
 		})
@@ -176,18 +176,18 @@ func TestInterleavedCommitAndRollback(t *testing.T) {
 		t.Run(cfg.String(), func(t *testing.T) {
 			_, a, tm := newTM(t, cfg)
 			data := dataBlock(a, 2, 0)
-			t1 := tm.Begin().ID()
-			t2 := tm.Begin().ID()
-			if err := tm.Write64(t1, data, 111); err != nil {
+			t1 := tm.Begin()
+			t2 := tm.Begin()
+			if err := t1.Write64(data, 111); err != nil {
 				t.Fatal(err)
 			}
-			if err := tm.Write64(t2, data+8, 222); err != nil {
+			if err := t2.Write64(data+8, 222); err != nil {
 				t.Fatal(err)
 			}
-			if err := tm.Rollback(t2); err != nil {
+			if err := t2.Rollback(); err != nil {
 				t.Fatal(err)
 			}
-			if err := tm.Commit(t1); err != nil {
+			if err := t1.Commit(); err != nil {
 				t.Fatal(err)
 			}
 			if got := tm.Read64(data); got != 111 {
@@ -201,19 +201,15 @@ func TestInterleavedCommitAndRollback(t *testing.T) {
 }
 
 func TestTxnErrors(t *testing.T) {
-	_, a, tm := newTM(t, testConfigs()[1])
-	data := dataBlock(a, 1, 0)
-	if err := tm.Write64(42, data, 1); err != ErrUnknownTxn {
-		t.Fatalf("unknown txn: err = %v", err)
-	}
-	tid := tm.Begin().ID()
-	if err := tm.Commit(tid); err != nil {
+	_, _, tm := newTM(t, testConfigs()[1])
+	tx := tm.Begin()
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tm.Commit(tid); err == nil {
+	if err := tx.Commit(); err == nil {
 		t.Fatal("double commit succeeded")
 	}
-	if err := tm.Rollback(tid); err == nil {
+	if err := tx.Rollback(); err == nil {
 		t.Fatal("rollback after commit succeeded")
 	}
 }
@@ -224,12 +220,12 @@ func TestLogExplicitWAL(t *testing.T) {
 	cfg := Config{Policy: Force, Layers: OneLayer, LogKind: rlog.Optimized, BucketSize: 16, RootBase: rootBase}
 	m, a, tm := newTM(t, cfg)
 	data := dataBlock(a, 1, 5)
-	tid := tm.Begin().ID()
-	if err := tm.Log(tid, data, 5, 50); err != nil {
+	tx := tm.Begin()
+	if err := tx.Log(data, 5, 50); err != nil {
 		t.Fatal(err)
 	}
 	m.StoreNT64(data, 50)
-	if err := tm.Commit(tid); err != nil {
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Load64(data); got != 50 {
@@ -241,8 +237,8 @@ func TestLogExplicitWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bt := btm.Begin().ID()
-	if err := btm.Log(bt, data, 50, 60); err == nil {
+	bt := btm.Begin()
+	if err := bt.Log(data, 50, 60); err == nil {
 		t.Fatal("explicit Log allowed under Batch")
 	}
 }
@@ -251,14 +247,14 @@ func TestForceClearsLogAtCommit(t *testing.T) {
 	cfg := Config{Policy: Force, Layers: OneLayer, LogKind: rlog.Optimized, BucketSize: 16, RootBase: rootBase}
 	_, a, tm := newTM(t, cfg)
 	data := dataBlock(a, 4, 0)
-	tid := tm.Begin().ID()
+	tx := tm.Begin()
 	for i := uint64(0); i < 4; i++ {
-		tm.Write64(tid, data+i*8, i)
+		tx.Write64(data+i*8, i)
 	}
 	if tm.RawLog().Len() == 0 {
 		t.Fatal("log empty before commit")
 	}
-	tm.Commit(tid)
+	tx.Commit()
 	if got := tm.RawLog().Len(); got != 0 {
 		t.Fatalf("force policy left %d records after commit", got)
 	}
@@ -268,11 +264,11 @@ func TestNoForceKeepsLogUntilCheckpoint(t *testing.T) {
 	cfg := Config{Policy: NoForce, Layers: OneLayer, LogKind: rlog.Optimized, BucketSize: 16, RootBase: rootBase}
 	m, a, tm := newTM(t, cfg)
 	data := dataBlock(a, 4, 0)
-	tid := tm.Begin().ID()
+	tx := tm.Begin()
 	for i := uint64(0); i < 4; i++ {
-		tm.Write64(tid, data+i*8, 50+i)
+		tx.Write64(data+i*8, 50+i)
 	}
-	tm.Commit(tid)
+	tx.Commit()
 	if got := tm.RawLog().Len(); got != 5 { // 4 updates + END
 		t.Fatalf("log holds %d records, want 5", got)
 	}
@@ -297,9 +293,9 @@ func TestTwoLayerCheckpointClearsTree(t *testing.T) {
 	_, a, tm := newTM(t, cfg)
 	data := dataBlock(a, 4, 0)
 	for k := 0; k < 3; k++ {
-		tid := tm.Begin().ID()
-		tm.Write64(tid, data, uint64(k))
-		tm.Commit(tid)
+		tx := tm.Begin()
+		tx.Write64(data, uint64(k))
+		tx.Commit()
 	}
 	if got := tm.Tree().Size(); got != 3 {
 		t.Fatalf("tree holds %d txns, want 3", got)
@@ -317,17 +313,17 @@ func TestDeleteFreedOnCommitKeptOnRollback(t *testing.T) {
 			blockA := a.Alloc(64)
 			blockB := a.Alloc(64)
 
-			tid := tm.Begin().ID()
-			if err := tm.Delete(tid, blockA); err != nil {
+			tx := tm.Begin()
+			if err := tx.Free(blockA); err != nil {
 				t.Fatal(err)
 			}
-			tm.Commit(tid)
+			tx.Commit()
 
-			tid2 := tm.Begin().ID()
-			if err := tm.Delete(tid2, blockB); err != nil {
+			tx2 := tm.Begin()
+			if err := tx2.Free(blockB); err != nil {
 				t.Fatal(err)
 			}
-			tm.Rollback(tid2)
+			tx2.Rollback()
 
 			if cfg.Policy == NoForce {
 				tm.Checkpoint() // NoForce defers the free to the checkpoint
@@ -348,9 +344,9 @@ func TestDeleteAppliedByRecovery(t *testing.T) {
 	cfg := Config{Policy: NoForce, Layers: OneLayer, LogKind: rlog.Optimized, BucketSize: 16, RootBase: rootBase}
 	m, a, tm := newTM(t, cfg)
 	block := a.Alloc(64)
-	tid := tm.Begin().ID()
-	tm.Delete(tid, block)
-	tm.Commit(tid)
+	tx := tm.Begin()
+	tx.Free(block)
+	tx.Commit()
 	// Crash before any checkpoint.
 	if err := m.Crash(); err != nil {
 		t.Fatal(err)
@@ -372,9 +368,9 @@ func TestCleanCloseReopen(t *testing.T) {
 		t.Run(cfg.String(), func(t *testing.T) {
 			m, a, tm := newTM(t, cfg)
 			data := dataBlock(a, 2, 0)
-			tid := tm.Begin().ID()
-			tm.Write64(tid, data, 42)
-			tm.Commit(tid)
+			tx := tm.Begin()
+			tx.Write64(data, 42)
+			tx.Commit()
 			tm.Close()
 			if err := m.Crash(); err != nil { // power loss after clean close
 				t.Fatal(err)
@@ -419,8 +415,9 @@ func TestCountersReseededAfterRecovery(t *testing.T) {
 	data := dataBlock(a, 1, 0)
 	var lastTid uint64
 	for i := 0; i < 5; i++ {
-		lastTid = tm.Begin().ID()
-		tm.Write64(lastTid, data, uint64(i))
+		x := tm.Begin()
+		lastTid = x.ID()
+		x.Write64(data, uint64(i))
 	}
 	if err := m.Crash(); err != nil {
 		t.Fatal(err)
@@ -463,17 +460,17 @@ func TestCrashAtEveryPointEndToEnd(t *testing.T) {
 				committed1 := false
 				m.SetCrashAfter(crashAt)
 				crashed := m.RunToCrash(func() {
-					t1 := tm.Begin().ID()
-					t2 := tm.Begin().ID()
-					t3 := tm.Begin().ID()
+					t1 := tm.Begin()
+					t2 := tm.Begin()
+					t3 := tm.Begin()
 					for i := uint64(0); i < 4; i++ {
-						tm.Write64(t1, d1+i*8, 110+i)
-						tm.Write64(t2, d2+i*8, 120+i)
-						tm.Write64(t3, d3+i*8, 130+i)
+						t1.Write64(d1+i*8, 110+i)
+						t2.Write64(d2+i*8, 120+i)
+						t3.Write64(d3+i*8, 130+i)
 					}
-					tm.Commit(t1)
+					t1.Commit()
 					committed1 = true
-					tm.Rollback(t2)
+					t2.Rollback()
 					// t3 left running.
 				})
 				m.SetCrashAfter(0)
@@ -516,11 +513,11 @@ func TestCrashAtEveryPointEndToEnd(t *testing.T) {
 				check("t3", d3, 30, 130, false, true)    // never committed
 
 				// The recovered manager must be fully usable.
-				nt := tm2.Begin().ID()
-				if err := tm2.Write64(nt, d1, 999); err != nil {
+				nt := tm2.Begin()
+				if err := nt.Write64(d1, 999); err != nil {
 					t.Fatalf("crashAt=%d: post-recovery write: %v", crashAt, err)
 				}
-				if err := tm2.Commit(nt); err != nil {
+				if err := nt.Commit(); err != nil {
 					t.Fatalf("crashAt=%d: post-recovery commit: %v", crashAt, err)
 				}
 				if !crashed {
@@ -546,11 +543,11 @@ func TestDoubleCrashDuringRecovery(t *testing.T) {
 			// Crash mid-transaction.
 			m.SetCrashAfter(25)
 			m.RunToCrash(func() {
-				tid := tm.Begin().ID()
+				tx := tm.Begin()
 				for i := uint64(0); i < 4; i++ {
-					tm.Write64(tid, data+i*8, 110+i)
+					tx.Write64(data+i*8, 110+i)
 				}
-				tm.Commit(tid)
+				tx.Commit()
 			})
 			// Crash during recovery at increasing depths, then finish.
 			for depth := 1; depth <= 40; depth += 7 {
@@ -608,17 +605,17 @@ func TestConcurrentTransactions(t *testing.T) {
 				go func(g int) {
 					defer wg.Done()
 					for k := 0; k < txnsPerG; k++ {
-						tid := tm.Begin().ID()
+						tx := tm.Begin()
 						for i := uint64(0); i < 8; i++ {
-							if err := tm.Write64(tid, regions[g]+i*8, uint64(k*100+int(i))); err != nil {
+							if err := tx.Write64(regions[g]+i*8, uint64(k*100+int(i))); err != nil {
 								t.Error(err)
 								return
 							}
 						}
 						if k%5 == 4 {
-							tm.Rollback(tid)
+							tx.Rollback()
 						} else {
-							tm.Commit(tid)
+							tx.Commit()
 						}
 					}
 				}(g)
@@ -648,18 +645,18 @@ func TestWriteBytesRoundTrip(t *testing.T) {
 	_, a, tm := newTM(t, cfg)
 	data := a.Alloc(64)
 	payload := []byte("recoverable byte payload!")
-	tid := tm.Begin().ID()
-	if err := tm.WriteBytes(tid, data, payload); err != nil {
+	tx := tm.Begin()
+	if err := tx.WriteBytes(data, payload); err != nil {
 		t.Fatal(err)
 	}
-	tm.Commit(tid)
+	tx.Commit()
 	if got := tm.ReadBytes(data, len(payload)); string(got) != string(payload) {
 		t.Fatalf("ReadBytes = %q", got)
 	}
 	// And rollback restores the previous bytes.
-	tid2 := tm.Begin().ID()
-	tm.WriteBytes(tid2, data, []byte("XXXXXXXXXXXXXXXXXXXXXXXXX"))
-	tm.Rollback(tid2)
+	tx2 := tm.Begin()
+	tx2.WriteBytes(data, []byte("XXXXXXXXXXXXXXXXXXXXXXXXX"))
+	tx2.Rollback()
 	if got := tm.ReadBytes(data, len(payload)); string(got) != string(payload) {
 		t.Fatalf("after rollback = %q", got)
 	}
@@ -670,11 +667,11 @@ func TestRollbackDuringBatchGroup(t *testing.T) {
 	cfg := Config{Policy: Force, Layers: OneLayer, LogKind: rlog.Batch, BucketSize: 64, GroupSize: 32, RootBase: rootBase}
 	_, a, tm := newTM(t, cfg)
 	data := dataBlock(a, 4, 10)
-	tid := tm.Begin().ID()
+	tx := tm.Begin()
 	for i := uint64(0); i < 4; i++ {
-		tm.Write64(tid, data+i*8, 110+i) // group of 32 never fills
+		tx.Write64(data+i*8, 110+i) // group of 32 never fills
 	}
-	if err := tm.Rollback(tid); err != nil {
+	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 4; i++ {
@@ -688,11 +685,11 @@ func TestRecoveryStatsShape(t *testing.T) {
 	cfg := Config{Policy: NoForce, Layers: OneLayer, LogKind: rlog.Optimized, BucketSize: 16, RootBase: rootBase}
 	m, a, tm := newTM(t, cfg)
 	data := dataBlock(a, 2, 0)
-	c := tm.Begin().ID()
-	tm.Write64(c, data, 1)
-	tm.Commit(c)
-	l := tm.Begin().ID()
-	tm.Write64(l, data+8, 2)
+	c := tm.Begin()
+	c.Write64(data, 1)
+	c.Commit()
+	l := tm.Begin()
+	l.Write64(data+8, 2)
 	// crash with one winner, one loser
 	if err := m.Crash(); err != nil {
 		t.Fatal(err)
@@ -719,11 +716,11 @@ func TestManyTransactionsAcrossBuckets(t *testing.T) {
 			m, a, tm := newTM(t, cfg)
 			data := dataBlock(a, 64, 0)
 			for k := 0; k < 40; k++ { // bucket size 16: many buckets
-				tid := tm.Begin().ID()
+				tx := tm.Begin()
 				for i := uint64(0); i < 4; i++ {
-					tm.Write64(tid, data+(uint64(k%16)*4+i)*8, uint64(k+1)*1000+i)
+					tx.Write64(data+(uint64(k%16)*4+i)*8, uint64(k+1)*1000+i)
 				}
-				tm.Commit(tid)
+				tx.Commit()
 			}
 			if err := m.Crash(); err != nil {
 				t.Fatal(err)
@@ -767,11 +764,11 @@ func TestStressManySmallTxns(t *testing.T) {
 			}
 			data := dataBlock(a, 128, 0)
 			for k := 0; k < 5000; k++ {
-				tid := tm.Begin().ID()
+				tx := tm.Begin()
 				for i := uint64(0); i < 4; i++ {
-					tm.Write64(tid, data+(uint64(k)%128)*8, uint64(k)<<8|i)
+					tx.Write64(data+(uint64(k)%128)*8, uint64(k)<<8|i)
 				}
-				tm.Commit(tid)
+				tx.Commit()
 				if cfg.Policy == NoForce && k%500 == 499 {
 					tm.Checkpoint()
 				}
@@ -788,9 +785,9 @@ func ExampleTM() {
 	a := pmem.Format(m)
 	tm, _ := New(a, Config{Policy: Force, Layers: OneLayer, LogKind: rlog.Optimized, RootBase: 8})
 	slot := a.Alloc(8)
-	tid := tm.Begin().ID()
-	tm.Write64(tid, slot, 42)
-	tm.Commit(tid)
+	tx := tm.Begin()
+	tx.Write64(slot, 42)
+	tx.Commit()
 	fmt.Println(tm.Read64(slot))
 	// Output: 42
 }

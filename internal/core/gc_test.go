@@ -223,7 +223,7 @@ func TestTicketBurstSharesOneFlush(t *testing.T) {
 }
 
 // TestAbandonedTicketLeaksNothing: a ticket nobody ever waits on (its
-// connection died mid-burst) leaves no table entry and no wedge — the
+// connection died mid-burst) leaves no finished-list entry and no wedge — the
 // transaction was finished at publish, the next checkpoint's force covers
 // its END and clears it, and a late WaitDurable finds the mark past it
 // without opening a round.
@@ -243,11 +243,8 @@ func TestAbandonedTicketLeaksNothing(t *testing.T) {
 		}
 	}
 	tm.Checkpoint()
-	tm.mu.Lock()
-	entries := len(tm.table)
-	tm.mu.Unlock()
-	if entries != 0 {
-		t.Fatalf("%d table entries survive the checkpoint", entries)
+	if entries := finishedEntries(tm); entries != 0 {
+		t.Fatalf("%d finished-list entries survive the checkpoint", entries)
 	}
 	rounds := tm.Stats().Shards[0].GroupCommitRounds
 	tm.WaitDurable(last, nil)

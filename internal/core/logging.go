@@ -7,9 +7,8 @@ import (
 // Begin starts a transaction and returns its handle (the runtime call
 // generated at the top of a persistent_atomic block, Listing 2 line 2).
 // Identifiers are assigned sequentially from an atomic counter, which also
-// round-robins transactions over the log shards; the handle pins the
-// transaction's shard and table entry so subsequent calls skip the global
-// table lookup.
+// round-robins transactions over the log shards. The handle is the whole
+// transaction: the manager registers it nowhere.
 func (tm *TM) Begin() *Txn {
 	return tm.beginID(tm.lastTxn.Add(1))
 }
@@ -34,20 +33,17 @@ func (tm *TM) BeginOn(shard int) *Txn {
 	}
 }
 
-// beginID registers a fresh transaction under the given id.
+// beginID starts a transaction under the given id. It is counted running
+// on its shard before the dirty mark is consulted (Close relies on it).
 func (tm *TM) beginID(id uint64) *Txn {
-	st := &txnState{id: id, status: statusRunning}
+	x := &Txn{tm: tm, sh: tm.shardFor(id), id: id}
 	if tm.cfg.CommitMode == RedoOnly {
-		st.buf = &redoBuf{writes: map[uint64]uint64{}}
+		x.buf = &redoBuf{writes: map[uint64]uint64{}}
 	}
-	sh := tm.shardFor(id)
-	sh.running.Add(1)
-	tm.mu.Lock()
+	x.sh.running.Add(1)
 	tm.markDirty()
-	tm.table[id] = st
-	tm.stats.Begun++
-	tm.mu.Unlock()
-	return &Txn{tm: tm, sh: sh, st: st}
+	tm.begun.Add(1)
+	return x
 }
 
 // Write64 performs one recoverable update: it logs the write ahead of the
@@ -63,7 +59,7 @@ func (x *Txn) Write64(addr, val uint64) error {
 	if err := x.running(); err != nil {
 		return err
 	}
-	if b := x.st.buf; b != nil {
+	if b := x.buf; b != nil {
 		b.writes[addr] = val
 		return nil
 	}
@@ -71,8 +67,8 @@ func (x *Txn) Write64(addr, val uint64) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	old := tm.mem.Load64(addr)
-	flushed := tm.appendShard(sh, x.st, rlog.Fields{
-		Txn: x.st.id, Type: rlog.TypeUpdate, Flags: rlog.FlagUndoable,
+	flushed := tm.appendShard(sh, x, rlog.Fields{
+		Txn: x.id, Type: rlog.TypeUpdate, Flags: rlog.FlagUndoable,
 		Addr: addr, Old: old, New: val,
 	}, false)
 	tm.applyShard(sh, addr, val, flushed)
@@ -96,7 +92,7 @@ func (x *Txn) WriteBytes(addr uint64, p []byte) error {
 	if len(p) == 0 {
 		return nil
 	}
-	if b := x.st.buf; b != nil {
+	if b := x.buf; b != nil {
 		// Buffered word loop; the tail read-modify-write consults the
 		// buffer first so an earlier buffered write to the same word is
 		// not clobbered by stale image bytes.
@@ -133,15 +129,15 @@ func (x *Txn) WriteBytes(addr uint64, p []byte) error {
 		newS[i] = le64(word[:])
 	}
 	if n == 1 {
-		flushed := tm.appendShard(sh, x.st, rlog.Fields{
-			Txn: x.st.id, Type: rlog.TypeUpdate, Flags: rlog.FlagUndoable,
+		flushed := tm.appendShard(sh, x, rlog.Fields{
+			Txn: x.id, Type: rlog.TypeUpdate, Flags: rlog.FlagUndoable,
 			Addr: addr, Old: oldS[0], New: newS[0],
 		}, false)
 		tm.applyShard(sh, addr, newS[0], flushed)
 		return nil
 	}
-	flushed := tm.appendShard(sh, x.st, rlog.Fields{
-		Txn: x.st.id, Type: rlog.TypeUpdate, Flags: rlog.FlagUndoable,
+	flushed := tm.appendShard(sh, x, rlog.Fields{
+		Txn: x.id, Type: rlog.TypeUpdate, Flags: rlog.FlagUndoable,
 		Addr: addr, OldSpan: oldS, NewSpan: newS,
 	}, false)
 	tm.applySpan(sh, addr, newS, flushed)
@@ -166,75 +162,33 @@ func (x *Txn) Log(addr, old, val uint64) error {
 	sh := x.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	x.tm.appendShard(sh, x.st, rlog.Fields{
-		Txn: x.st.id, Type: rlog.TypeUpdate, Flags: rlog.FlagUndoable,
+	x.tm.appendShard(sh, x, rlog.Fields{
+		Txn: x.id, Type: rlog.TypeUpdate, Flags: rlog.FlagUndoable,
 		Addr: addr, Old: old, New: val,
 	}, false)
 	return nil
 }
 
-// Delete registers a deferred deallocation (§4.3): a DELETE record joins
+// Free registers a deferred deallocation (§4.3): a DELETE record joins
 // the transaction, and the block is actually freed only after the
 // transaction commits — at commit-time clearing under Force, at the next
 // checkpoint under NoForce, or during recovery if a crash intervenes. If
 // the transaction rolls back, the block stays allocated.
-func (x *Txn) Delete(addr uint64) error {
+func (x *Txn) Free(addr uint64) error {
 	if err := x.running(); err != nil {
 		return err
 	}
-	if b := x.st.buf; b != nil {
+	if b := x.buf; b != nil {
 		b.deletes = append(b.deletes, addr)
 		return nil
 	}
 	sh := x.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	x.tm.appendShard(sh, x.st, rlog.Fields{
-		Txn: x.st.id, Type: rlog.TypeDelete, Addr: addr,
+	x.tm.appendShard(sh, x, rlog.Fields{
+		Txn: x.id, Type: rlog.TypeDelete, Addr: addr,
 	}, false)
 	return nil
-}
-
-// Write64 is the tid-based compatibility wrapper over Txn.Write64.
-func (tm *TM) Write64(tid, addr, val uint64) error {
-	x, err := tm.handle(tid)
-	if err != nil {
-		return err
-	}
-	return x.Write64(addr, val)
-}
-
-// WriteBytes is the tid-based compatibility wrapper over Txn.WriteBytes.
-func (tm *TM) WriteBytes(tid, addr uint64, p []byte) error {
-	x, err := tm.handle(tid)
-	if err != nil {
-		return err
-	}
-	return x.WriteBytes(addr, p)
-}
-
-// Log is the tid-based compatibility wrapper over Txn.Log.
-func (tm *TM) Log(tid, addr, old, val uint64) error {
-	if tm.cfg.CommitMode == RedoOnly {
-		return ErrLogRedoOnly
-	}
-	if tm.cfg.LogKind == rlog.Batch {
-		return ErrLogWithBatch
-	}
-	x, err := tm.handle(tid)
-	if err != nil {
-		return err
-	}
-	return x.Log(addr, old, val)
-}
-
-// Delete is the tid-based compatibility wrapper over Txn.Delete.
-func (tm *TM) Delete(tid, addr uint64) error {
-	x, err := tm.handle(tid)
-	if err != nil {
-		return err
-	}
-	return x.Delete(addr)
 }
 
 // Read64 loads a word. Reads need no logging; they are served directly
@@ -245,7 +199,7 @@ func (tm *TM) Read64(addr uint64) uint64 { return tm.mem.Load64(addr) }
 // buffered write wins over the shared image (read-your-writes), under
 // UndoRedo it is a plain image load (in-place writes are already there).
 func (x *Txn) Read64(addr uint64) uint64 {
-	if b := x.st.buf; b != nil {
+	if b := x.buf; b != nil {
 		return b.load(x.tm.mem, addr)
 	}
 	return x.tm.mem.Load64(addr)
@@ -255,7 +209,7 @@ func (x *Txn) Read64(addr uint64) uint64 {
 // overlaying any buffered writes on the shared image word-wise.
 func (x *Txn) ReadBytes(addr uint64, n int) []byte {
 	p := x.tm.ReadBytes(addr, n)
-	b := x.st.buf
+	b := x.buf
 	if b == nil || len(b.writes) == 0 {
 		return p
 	}
@@ -274,11 +228,11 @@ func (x *Txn) ReadBytes(addr uint64, n int) []byte {
 }
 
 // appendShard builds a record with a fresh global LSN in the shard's log
-// (or a block of its own under the AAVLT in the two-layer configuration) and
-// updates the volatile transaction state. It reports whether the log
+// (or a block of its own under the AAVLT in the two-layer configuration,
+// chained to the transaction's previous record). It reports whether the log
 // guarantees every record so far is durable (used to release Batch-deferred
 // writes). Callers hold sh.mu.
-func (tm *TM) appendShard(sh *logShard, x *txnState, f rlog.Fields, end bool) (flushed bool) {
+func (tm *TM) appendShard(sh *logShard, x *Txn, f rlog.Fields, end bool) (flushed bool) {
 	f.LSN = tm.lsn.Add(1)
 	sh.appends.Add(1)
 	if tm.cfg.Layers == TwoLayer {
@@ -290,15 +244,12 @@ func (tm *TM) appendShard(sh *logShard, x *txnState, f rlog.Fields, end bool) (f
 		sh.logBytes.Add(int64(rec.Size()))
 		tm.tree.InsertRecord(x.id, rec.Addr)
 		x.lastLSN, x.lastRec = f.LSN, rec.Addr
-		x.records++
 		return true
 	}
-	rec, flushed := sh.log.AppendFields(f, end)
+	_, flushed = sh.log.AppendFields(f, end)
 	if flushed && tm.cfg.LogKind == rlog.Batch {
 		sh.flushes.Add(1)
 	}
-	x.lastLSN, x.lastRec = f.LSN, rec
-	x.records++
 	return flushed
 }
 

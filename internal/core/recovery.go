@@ -138,8 +138,9 @@ func (tm *TM) recover() *RecoveryStats {
 		}
 	}
 
-	// Henceforth a fresh transaction table (§4.5).
-	tm.table = map[uint64]*txnState{}
+	// Every transaction the log knew is resolved: the table has done its
+	// job, and a live manager keeps none.
+	tm.table = nil
 	tm.mem.StoreNT64(tm.state+stDirty, 0)
 	tm.mem.Fence()
 	rs.FinishNs = time.Since(t3).Nanoseconds()
@@ -194,7 +195,7 @@ func runShards(w, n int, fn func(int)) {
 
 // appendTxn appends a record on behalf of x under its shard's mutex (the
 // recovery-path counterpart of the logging fast path).
-func (tm *TM) appendTxn(x *txnState, f rlog.Fields, end bool) (flushed bool) {
+func (tm *TM) appendTxn(x *Txn, f rlog.Fields, end bool) (flushed bool) {
 	sh := tm.shardFor(x.id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -204,7 +205,7 @@ func (tm *TM) appendTxn(x *txnState, f rlog.Fields, end bool) (flushed bool) {
 // classify folds one record into a transaction table (§4.5's analysis
 // rules): END → finished; ROLLBACK without END → mid-abort; otherwise
 // running. It returns updated maxLSN/maxTid seeds.
-func classify(table map[uint64]*txnState, r rlog.Record, maxLSN, maxTid uint64) (uint64, uint64) {
+func classify(table map[uint64]*Txn, r rlog.Record, maxLSN, maxTid uint64) (uint64, uint64) {
 	if r.LSN() > maxLSN {
 		maxLSN = r.LSN()
 	}
@@ -217,14 +218,9 @@ func classify(table map[uint64]*txnState, r rlog.Record, maxLSN, maxTid uint64) 
 	}
 	x, ok := table[tid]
 	if !ok {
-		x = &txnState{id: tid, status: statusRunning}
+		x = &Txn{id: tid}
 		table[tid] = x
 	}
-	if r.LSN() >= x.lastLSN {
-		x.lastLSN = r.LSN()
-		x.lastRec = r.Addr
-	}
-	x.records++
 	switch r.Type() {
 	case rlog.TypeRollback:
 		x.status = statusAborted
@@ -272,7 +268,7 @@ func (tm *TM) analysis(rs *RecoveryStats) ([]rlog.Record, [][]rlog.Record) {
 	var maxLSN, maxTid uint64
 	runShards(rs.Workers, len(tm.shards), func(i int) {
 		sh := tm.shards[i]
-		local := map[uint64]*txnState{}
+		local := map[uint64]*Txn{}
 		var run []rlog.Record
 		var lMaxLSN, lMaxTid uint64
 		clrs := 0
@@ -621,8 +617,8 @@ func (tm *TM) freeAllChains() {
 
 // sortedTable returns table entries in transaction-ID order so recovery is
 // deterministic.
-func (tm *TM) sortedTable() []*txnState {
-	out := make([]*txnState, 0, len(tm.table))
+func (tm *TM) sortedTable() []*Txn {
+	out := make([]*Txn, 0, len(tm.table))
 	for _, x := range tm.table {
 		out = append(out, x)
 	}

@@ -62,7 +62,7 @@ func equivWorkload(t *testing.T, a *pmem.Allocator, tm *TM, rng *rand.Rand, regi
 					t.Fatal(err)
 				}
 			case 9: // deferred deallocation
-				if err := x.Delete(a.Alloc(64)); err != nil {
+				if err := x.Free(a.Alloc(64)); err != nil {
 					t.Fatal(err)
 				}
 			}

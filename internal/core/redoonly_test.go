@@ -128,7 +128,7 @@ func TestRedoOnlyCrashMatrix(t *testing.T) {
 					if err := t1.WriteBytes(d1+8, span(111)[:8*(words-2)]); err != nil {
 						t.Error(err)
 					}
-					if err := t1.Delete(a.Alloc(64)); err != nil {
+					if err := t1.Free(a.Alloc(64)); err != nil {
 						t.Error(err)
 					}
 					// t2 writes and rolls back: a pure buffer discard, no log

@@ -88,15 +88,15 @@ func TestShardedCrashRecoveryStress(t *testing.T) {
 					go func(w int) {
 						defer wg.Done()
 						for i := 0; i < txnsPerW; i++ {
-							tid := tm.Begin().ID()
+							tx := tm.Begin()
 							for k := 0; k < wordsPerTxn; k++ {
 								addr := regions[w] + uint64((i*wordsPerTxn+k)*8)
-								if err := tm.Write64(tid, addr, uint64(5000*(w+1)+i)); err != nil {
+								if err := tx.Write64(addr, uint64(5000*(w+1)+i)); err != nil {
 									t.Error(err)
 									return
 								}
 							}
-							if err := tm.Commit(tid); err != nil {
+							if err := tx.Commit(); err != nil {
 								t.Error(err)
 								return
 							}
@@ -114,12 +114,12 @@ func TestShardedCrashRecoveryStress(t *testing.T) {
 				loserRegions := map[uint64]uint64{}
 				shardsHit := map[int]bool{}
 				for j := 0; j < shards; j++ {
-					tid := tm.Begin().ID()
-					shardsHit[tm.ShardOf(tid)] = true
+					tx := tm.Begin()
+					shardsHit[tm.ShardOf(tx.ID())] = true
 					region := dataBlock(a, 2*cfg.GroupSize, uint64(100*(j+1)))
-					loserRegions[tid] = region
+					loserRegions[tx.ID()] = region
 					for k := 0; k < 2*cfg.GroupSize; k++ {
-						if err := tm.Write64(tid, region+uint64(k*8), 777); err != nil {
+						if err := tx.Write64(region+uint64(k*8), 777); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -195,11 +195,11 @@ func TestShardedCrashRecoveryStress(t *testing.T) {
 				if rs.MaxLSN > preLSN {
 					t.Fatalf("recovered MaxLSN %d exceeds pre-crash counter %d", rs.MaxLSN, preLSN)
 				}
-				nt := tm2.Begin().ID()
-				if err := tm2.Write64(nt, regions[0], 42); err != nil {
+				nt := tm2.Begin()
+				if err := nt.Write64(regions[0], 42); err != nil {
 					t.Fatal(err)
 				}
-				if err := tm2.Commit(nt); err != nil {
+				if err := nt.Commit(); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -224,11 +224,11 @@ func TestShardedLSNMergeOrder(t *testing.T) {
 			x := dataBlock(a, 1, 5)
 			n := 2*shards + 1 // wrap every shard at least twice
 			for i := 1; i <= n; i++ {
-				tid := tm.Begin().ID()
-				if err := tm.Write64(tid, x, uint64(100+i)); err != nil {
+				tx := tm.Begin()
+				if err := tx.Write64(x, uint64(100+i)); err != nil {
 					t.Fatal(err)
 				}
-				if err := tm.Commit(tid); err != nil {
+				if err := tx.Commit(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -278,20 +278,20 @@ func TestShardedCrashMatrix(t *testing.T) {
 				committed1 := false
 				m.SetCrashAfter(crashAt)
 				crashed := m.RunToCrash(func() {
-					t1 := tm.Begin().ID()
-					t2 := tm.Begin().ID()
-					t3 := tm.Begin().ID()
-					if tm.ShardOf(t1) == tm.ShardOf(t2) || tm.ShardOf(t2) == tm.ShardOf(t3) {
+					t1 := tm.Begin()
+					t2 := tm.Begin()
+					t3 := tm.Begin()
+					if tm.ShardOf(t1.ID()) == tm.ShardOf(t2.ID()) || tm.ShardOf(t2.ID()) == tm.ShardOf(t3.ID()) {
 						t.Error("test transactions share a shard")
 					}
 					for i := uint64(0); i < 4; i++ {
-						tm.Write64(t1, d1+i*8, 110+i)
-						tm.Write64(t2, d2+i*8, 120+i)
-						tm.Write64(t3, d3+i*8, 130+i)
+						t1.Write64(d1+i*8, 110+i)
+						t2.Write64(d2+i*8, 120+i)
+						t3.Write64(d3+i*8, 130+i)
 					}
-					tm.Commit(t1)
+					t1.Commit()
 					committed1 = true
-					tm.Rollback(t2)
+					t2.Rollback()
 					// t3 left running.
 				})
 				m.SetCrashAfter(0)
@@ -333,11 +333,11 @@ func TestShardedCrashMatrix(t *testing.T) {
 				check("t2", d2, 20, 120, false, crashed)
 				check("t3", d3, 30, 130, false, true)
 
-				nt := tm2.Begin().ID()
-				if err := tm2.Write64(nt, d1, 999); err != nil {
+				nt := tm2.Begin()
+				if err := nt.Write64(d1, 999); err != nil {
 					t.Fatalf("crashAt=%d: post-recovery write: %v", crashAt, err)
 				}
-				if err := tm2.Commit(nt); err != nil {
+				if err := nt.Commit(); err != nil {
 					t.Fatalf("crashAt=%d: post-recovery commit: %v", crashAt, err)
 				}
 				if !crashed {
@@ -392,12 +392,12 @@ func TestShardedCheckpointUnderLoad(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					for i := 0; i < txnsPerW; i++ {
-						tid := tm.Begin().ID()
-						if err := tm.Write64(tid, regions[w]+uint64(i*8), uint64(10_000+i)); err != nil {
+						tx := tm.Begin()
+						if err := tx.Write64(regions[w]+uint64(i*8), uint64(10_000+i)); err != nil {
 							t.Error(err)
 							return
 						}
-						if err := tm.Commit(tid); err != nil {
+						if err := tx.Commit(); err != nil {
 							t.Error(err)
 							return
 						}
@@ -461,11 +461,11 @@ func TestShardStatsBalance(t *testing.T) {
 	d := dataBlock(a, 64, 0)
 	const txns = 32
 	for i := 0; i < txns; i++ {
-		tid := tm.Begin().ID()
-		if err := tm.Write64(tid, d+uint64(i*8), uint64(i)); err != nil {
+		tx := tm.Begin()
+		if err := tx.Write64(d+uint64(i*8), uint64(i)); err != nil {
 			t.Fatal(err)
 		}
-		if err := tm.Commit(tid); err != nil {
+		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
 	}

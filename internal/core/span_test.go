@@ -149,16 +149,14 @@ func TestWriteBytesTailPartialWord(t *testing.T) {
 }
 
 // TestHandleFastPathSemantics pins the handle contract: a finished handle
-// is rejected, tid-based wrappers resolve the same transaction, and the
-// wrappers' error sentinels survive the refactor.
+// is rejected with ErrTxnFinished, and Batch refuses the explicit Log.
 func TestHandleFastPathSemantics(t *testing.T) {
 	cfg := testConfigs()[1] // 1L-NFP/Optimized
 	_, a, tm := newTM(t, cfg)
 	data := dataBlock(a, 2, 10)
 
 	x := tm.Begin()
-	// The tid wrappers and the handle drive one and the same transaction.
-	if err := tm.Write64(x.ID(), data, 77); err != nil {
+	if err := x.Write64(data, 77); err != nil {
 		t.Fatal(err)
 	}
 	if err := x.Write64(data+8, 78); err != nil {
@@ -173,11 +171,8 @@ func TestHandleFastPathSemantics(t *testing.T) {
 	if err := x.Write64(data, 1); !errors.Is(err, ErrTxnFinished) {
 		t.Fatalf("write on finished handle: %v, want ErrTxnFinished", err)
 	}
-	if err := tm.Write64(9999, data, 1); !errors.Is(err, ErrUnknownTxn) {
-		t.Fatalf("unknown tid: %v, want ErrUnknownTxn", err)
-	}
 
-	// Batch rejects the explicit Log call on both paths.
+	// Batch rejects the explicit Log call.
 	btm, err := New(a, Config{Policy: NoForce, Layers: OneLayer, LogKind: rlog.Batch,
 		BucketSize: 16, GroupSize: 4, RootBase: 24})
 	if err != nil {
@@ -186,9 +181,6 @@ func TestHandleFastPathSemantics(t *testing.T) {
 	b := btm.Begin()
 	if err := b.Log(data, 0, 1); !errors.Is(err, ErrLogWithBatch) {
 		t.Fatalf("handle Log under Batch: %v, want ErrLogWithBatch", err)
-	}
-	if err := btm.Log(b.ID(), data, 0, 1); !errors.Is(err, ErrLogWithBatch) {
-		t.Fatalf("tid Log under Batch: %v, want ErrLogWithBatch", err)
 	}
 }
 

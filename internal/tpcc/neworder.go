@@ -6,23 +6,7 @@ import (
 
 	"github.com/rewind-db/rewind/btree"
 	"github.com/rewind-db/rewind/internal/core"
-	"github.com/rewind-db/rewind/internal/pmem"
 )
-
-// tmWriter adapts a transaction handle (the distributed-log configuration
-// has one manager per terminal) to the tree Writer interface. Going
-// through the handle keeps every tree write on the shard fast path, and
-// multi-word WriteBytes calls — TPC-C row images — log one span record
-// each.
-type tmWriter struct {
-	x *core.Txn
-	a *pmem.Allocator
-}
-
-func (w tmWriter) Write64(addr, val uint64) error         { return w.x.Write64(addr, val) }
-func (w tmWriter) WriteBytes(addr uint64, p []byte) error { return w.x.WriteBytes(addr, p) }
-func (w tmWriter) Alloc(size int) uint64                  { return w.a.Alloc(size) }
-func (w tmWriter) Free(addr uint64) error                 { return w.x.Delete(addr) }
 
 // errSimulatedAbort models the 1% of new-order transactions TPC-C requires
 // to abort (an unused item number).
@@ -101,9 +85,12 @@ func (t *Terminal) NewOrder() (bool, error) {
 		return true, nil
 	}
 
+	// The transaction is the tree Writer (every manager here allocates from
+	// the store's one allocator): tree writes go straight to the log shard,
+	// and multi-word WriteBytes calls — TPC-C row images — log one span
+	// record each.
 	x := t.tm.Begin()
-	w := tmWriter{x: x, a: t.db.s.Allocator()}
-	err := t.body(w)
+	err := t.body(x)
 	if err == nil && abort {
 		err = errSimulatedAbort
 	}

@@ -54,7 +54,7 @@
 // mutation, and Get/Scan traverse optimistically: snapshot the counter,
 // walk the tree through btree's validated read path, re-check the counter,
 // retry on interference, and fall back to the stripe-exclusive latch after
-// Config.ReadRetries failed attempts. Reads issue no log records and no
+// readAttempts (8) failed attempts. Reads issue no log records and no
 // flushes; they never queue behind a commit flush, a group-commit gather
 // window, or a checkpoint freeze.
 package kv
@@ -98,22 +98,19 @@ type Config struct {
 	// RootSlot is the application root slot publishing the side table
 	// (default rewind.AppRootFirst).
 	RootSlot int
-	// ReadRetries is how many optimistic attempts a Get or per-stripe Scan
-	// makes before falling back to the stripe latch (default 8). The
-	// fallback bounds reader latency under a write storm; see DESIGN.md §6.
-	// Volatile — not part of the durable shape.
-	ReadRetries int
 	// ExclusiveReads routes Get and Scan through the stripe latch, the
 	// pre-seqlock behaviour: reads serialize against reads and stall behind
-	// in-flight commits. It exists as the read-path benchmark's baseline
-	// and as an operational escape hatch. Volatile — not part of the
+	// in-flight commits. It is the reference path the read-path gate
+	// (TestReadPathSpeedup, the "readpath" figure) compares the latch-free
+	// reads against, and nothing else sets it. Volatile — not part of the
 	// durable shape.
 	ExclusiveReads bool
 	// SerialWrites routes every write through the stripe-exclusive latch
 	// held across the whole tree mutation AND the commit wait — the
-	// pre-fine-grained behaviour, one commit per stripe at a time. It
-	// exists as the writepath benchmark's baseline and as an operational
-	// escape hatch. Volatile — not part of the durable shape.
+	// pre-fine-grained behaviour, one commit per stripe at a time. It is
+	// the reference path the write-path gate (TestWritePathScaling, the
+	// "writepath" figure) compares the fine-grained writes against, and
+	// nothing else sets it. Volatile — not part of the durable shape.
 	SerialWrites bool
 	// Obs, when non-nil, records kv-level latch-wait time into the
 	// commit-pipeline phase histograms and lets the span-taking write
@@ -133,9 +130,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RootSlot == 0 {
 		c.RootSlot = rewind.AppRootFirst
-	}
-	if c.ReadRetries <= 0 {
-		c.ReadRetries = 8
 	}
 	return c
 }
@@ -157,6 +151,11 @@ var (
 	// ErrNotFound marks the side table's absence in Attach.
 	ErrNotFound = errors.New("kv: no store published in root slot")
 )
+
+// readAttempts is how many optimistic attempts a Get or per-stripe Scan makes
+// before falling back to the stripe latch. The fallback bounds reader
+// latency under a write storm; see DESIGN.md §6.
+const readAttempts = 8
 
 // latchBuckets sizes each stripe's leaf-latch table. 64 buckets comfortably
 // out-number any plausible concurrent writer count, so false bucket sharing
@@ -634,69 +633,60 @@ func (s *Store) readValueAt(addr, off uint64, max int) ([]byte, uint64) {
 func (s *Store) GetAt(key, off uint64, max int) (chunk []byte, total, token uint64, ok bool) {
 	s.gets.Add(1)
 	sp := s.stripeOf(key)
-	if !s.cfg.ExclusiveReads {
-		for attempt := 0; attempt < s.cfg.ReadRetries; attempt++ {
-			seq := sp.seq.Load()
-			if seq&writerMask != 0 {
-				s.readRetries.Add(1)
-				runtime.Gosched()
-				continue
-			}
-			addr, found := sp.tree.SeekRecord(key)
-			var v []byte
-			var n uint64
-			if found {
-				v, n = s.readValueAt(addr, off, max)
-			}
-			if optimisticReadHook != nil {
-				optimisticReadHook()
-			}
-			if sp.seq.Load() == seq {
-				return v, n, seq, found
-			}
-			s.readRetries.Add(1)
+	token = s.readStripe(sp, func(uint64) bool {
+		chunk, total = nil, 0
+		var addr uint64
+		if addr, ok = sp.tree.SeekRecord(key); ok {
+			chunk, total = s.readValueAt(addr, off, max)
 		}
-		s.readFallbacks.Add(1)
-	}
-	sp.wmu.Lock()
-	defer sp.wmu.Unlock()
-	// Under the exclusive latch no write window is open (writers hold wmu
-	// shared through their windows), so the seqlock word is stable and is
-	// still a sound consistency token.
-	seq := sp.seq.Load()
-	addr, found := sp.tree.SeekRecord(key)
-	if !found {
-		return nil, 0, seq, false
-	}
-	v, n := s.readValueAt(addr, off, max)
-	return v, n, seq, true
+		return true
+	})
+	return chunk, total, token, ok
 }
 
 // Get returns the value stored under key. It is latch-free: optimistic
-// seqlock attempts first, the stripe-exclusive latch only after
-// Config.ReadRetries failed validations (a persistent write storm on this
-// exact stripe).
-func (s *Store) Get(key uint64) ([]byte, bool) {
+// seqlock attempts first, the stripe-exclusive latch only after readAttempts
+// failed validations (a persistent write storm on this exact stripe).
+func (s *Store) Get(key uint64) (v []byte, ok bool) {
 	s.gets.Add(1)
 	sp := s.stripeOf(key)
+	s.readStripe(sp, func(uint64) bool {
+		v = nil
+		var addr uint64
+		if addr, ok = sp.tree.SeekRecord(key); ok {
+			v = s.readValue(addr)
+		}
+		return true
+	})
+	return v, ok
+}
+
+// readStripe runs read — one traversal of sp's tree through the validated
+// read path — until a run is known to have seen a stable stripe, and
+// returns the seqlock word that run saw. Up to readAttempts runs are
+// optimistic: snapshot the word, skip the run while writers are inside,
+// run, and accept only if the word has not moved (read may give up early by
+// returning false, having polled the word it is handed). After that, or at
+// once under Config.ExclusiveReads, read runs under the stripe-exclusive
+// latch, where no write window is open (writers hold wmu shared through
+// theirs), so the word is stable and still a sound consistency token. read
+// must start from scratch on every run: a discarded run's results are
+// garbage.
+func (s *Store) readStripe(sp *stripe, read func(seq uint64) bool) uint64 {
 	if !s.cfg.ExclusiveReads {
-		for attempt := 0; attempt < s.cfg.ReadRetries; attempt++ {
+		for attempt := 0; attempt < readAttempts; attempt++ {
 			seq := sp.seq.Load()
 			if seq&writerMask != 0 { // writers mid-mutation: snapshot can't validate
 				s.readRetries.Add(1)
 				runtime.Gosched()
 				continue
 			}
-			addr, ok := sp.tree.SeekRecord(key)
-			var v []byte
-			if ok {
-				v = s.readValue(addr)
-			}
+			ok := read(seq)
 			if optimisticReadHook != nil {
 				optimisticReadHook()
 			}
-			if sp.seq.Load() == seq {
-				return v, ok
+			if ok && sp.seq.Load() == seq {
+				return seq
 			}
 			s.readRetries.Add(1)
 		}
@@ -704,11 +694,9 @@ func (s *Store) Get(key uint64) ([]byte, bool) {
 	}
 	sp.wmu.Lock()
 	defer sp.wmu.Unlock()
-	addr, ok := sp.tree.SeekRecord(key)
-	if !ok {
-		return nil, false
-	}
-	return s.readValue(addr), true
+	seq := sp.seq.Load()
+	read(seq)
+	return seq
 }
 
 // Put durably stores value under key, replacing any prior value. When Put
@@ -883,44 +871,19 @@ const scanSeqPollEvery = 64
 // ever sees a record image a writer was mid-overwriting.
 func (s *Store) scanStripe(sp *stripe, from, to uint64, limit int, out []Pair) []Pair {
 	var buf []Pair
-	collect := func(k, addr uint64) bool {
-		buf = append(buf, Pair{Key: k, Value: s.readValue(addr)})
-		return limit <= 0 || len(buf) < limit
-	}
-	if !s.cfg.ExclusiveReads {
-		for attempt := 0; attempt < s.cfg.ReadRetries; attempt++ {
-			seq := sp.seq.Load()
-			if seq&writerMask != 0 {
-				s.readRetries.Add(1)
-				runtime.Gosched()
-				continue
+	s.readStripe(sp, func(seq uint64) bool {
+		buf = buf[:0]
+		torn := false
+		complete := sp.tree.ScanRecords(from, to, func(k, addr uint64) bool {
+			buf = append(buf, Pair{Key: k, Value: s.readValue(addr)})
+			if len(buf)%scanSeqPollEvery == 0 && sp.seq.Load() != seq {
+				torn = true
+				return false
 			}
-			buf = buf[:0]
-			torn := false
-			complete := sp.tree.ScanRecords(from, to, func(k, addr uint64) bool {
-				if !collect(k, addr) {
-					return false
-				}
-				if len(buf)%scanSeqPollEvery == 0 && sp.seq.Load() != seq {
-					torn = true
-					return false
-				}
-				return true
-			})
-			if optimisticReadHook != nil {
-				optimisticReadHook()
-			}
-			if complete && !torn && sp.seq.Load() == seq {
-				return append(out, buf...)
-			}
-			s.readRetries.Add(1)
-		}
-		s.readFallbacks.Add(1)
-	}
-	sp.wmu.Lock()
-	defer sp.wmu.Unlock()
-	buf = buf[:0]
-	sp.tree.ScanRecords(from, to, collect)
+			return limit <= 0 || len(buf) < limit
+		})
+		return complete && !torn
+	})
 	return append(out, buf...)
 }
 

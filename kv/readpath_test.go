@@ -285,8 +285,8 @@ func TestSeqlockFallback(t *testing.T) {
 	if fb := s.readFallbacks.Load(); fb != 2 {
 		t.Fatalf("readFallbacks = %d, want 2 (one Get, one Scan)", fb)
 	}
-	if rr := s.readRetries.Load(); rr < int64(2*(s.cfg.ReadRetries-1)) {
-		t.Fatalf("readRetries = %d, want >= %d (budget exhausted twice)", rr, 2*(s.cfg.ReadRetries-1))
+	if rr := s.readRetries.Load(); rr < int64(2*(readAttempts-1)) {
+		t.Fatalf("readRetries = %d, want >= %d (budget exhausted twice)", rr, 2*(readAttempts-1))
 	}
 }
 

@@ -215,11 +215,11 @@ func TestNewTMDistributedLogs(t *testing.T) {
 	if err := s.Atomic(func(tx *Tx) error { return tx.Write64(a1, 1) }); err != nil {
 		t.Fatal(err)
 	}
-	tid := tm2.Begin().ID()
-	if err := tm2.Write64(tid, a2, 2); err != nil {
+	tx2 := tm2.Begin()
+	if err := tx2.Write64(a2, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := tm2.Commit(tid); err != nil {
+	if err := tx2.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if s.Read64(a1) != 1 || s.Read64(a2) != 2 {

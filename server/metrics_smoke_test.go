@@ -42,7 +42,6 @@ func TestMetricsEndpointSmoke(t *testing.T) {
 		"-backing", filepath.Join(dir, "arena.nvm"),
 		"-arena", "67108864",
 		"-metrics-addr", metricsAddr,
-		"-stats-every", "500ms",
 		"-slow-op", "1s",
 	)
 	cmd.Stdout = os.Stderr

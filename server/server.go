@@ -11,7 +11,10 @@
 // it waits for any of them to be durable, so a burst of N mutations on one
 // socket shares one log flush the way N connections committing at once do.
 // Both shapes end in the same group-commit rounds and the durability ack
-// each PUT waits for costs a fraction of a fence.
+// each PUT waits for costs a fraction of a fence. A loop whose buffer runs
+// dry part-way through the cohort its clients sent last time waits for the
+// next frame, up to the group-commit window, rather than cut the cohort
+// there (gather.go).
 //
 // The ack rule: no response to a mutation is handed to the socket before
 // its ticket is durable (Server.release is the one place that waits), and
@@ -75,6 +78,15 @@ type Server struct {
 	requests atomic.Int64
 	errored  atomic.Int64
 
+	// Burst gathering (gather.go). window is the store's group-commit
+	// window, zero without group commit; gatherMu guards parked, the
+	// connections waiting for a frame, and every read deadline set on them.
+	window   time.Duration
+	unacked  atomic.Int64
+	cohort   atomic.Int64
+	gatherMu sync.Mutex
+	parked   map[net.Conn]struct{}
+
 	// Interactive-transaction state (server/txn.go). txnMu guards the
 	// server-wide table and every per-connection one; txnIdle is the
 	// idle-rollback cap in nanoseconds; the sweeper runs only once Serve
@@ -97,8 +109,11 @@ type Server struct {
 // built without obs.
 func New(s *kv.Store) *Server {
 	srv := &Server{kv: s, obs: s.Obs(), conns: map[net.Conn]struct{}{},
-		sweepStop: make(chan struct{})}
+		parked: map[net.Conn]struct{}{}, sweepStop: make(chan struct{})}
 	srv.txnIdle.Store(int64(defaultTxnIdle))
+	if cfg := s.Rewind().TM().Config(); cfg.GroupCommit {
+		srv.window = cfg.GroupCommitWindow
+	}
 	return srv
 }
 
@@ -252,8 +267,12 @@ func (s *Server) handleConn(c net.Conn) {
 	// reaches the socket until every request before it has been released,
 	// which for a mutation means its ticket is durable. Both are bounded
 	// (maxBurst requests, about bufSize bytes) and reused, burst after burst.
+	// When the buffer runs dry the burst may still go on: g waits for the
+	// next frame while the cohort the client sent last time is incomplete
+	// (gather.go).
 	var out []byte
 	pend := make([]request, 0, maxBurst)
+	var g gather
 	for {
 		// This read can fail only while pend is empty: the loop comes back
 		// here without releasing only when the next frame is wholly
@@ -269,17 +288,20 @@ func (s *Server) handleConn(c net.Conn) {
 		s.requests.Add(1)
 		rq := s.startRequest(op)
 		out = s.applyConn(cs, out, id, op, body, &rq)
-		more := frameBuffered(br)
-		if rq.span != nil && (more || len(pend) > 0) {
-			rq.executed = time.Now() // part of a burst: its reply will queue
+		g.executed(s, rq.ticket)
+		if rq.span != nil {
+			rq.executed = time.Now() // its reply queues from here if a burst forms
+		}
+		more := frameBuffered(br) ||
+			len(pend)+1 < maxBurst && len(out) < bufSize && g.wait(s, c, br)
+		if !more && len(pend) == 0 {
+			rq.executed = time.Time{} // a lone request: nothing to queue behind
 		}
 		pend = append(pend, rq)
 		if more && len(pend) < maxBurst && len(out) < bufSize {
 			continue
 		}
-		for i := range pend {
-			s.release(&pend[i], fr)
-		}
+		g.release(s, c, pend, fr)
 		pend = pend[:0]
 		if _, err := bw.Write(out); err != nil {
 			return

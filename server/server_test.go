@@ -130,8 +130,8 @@ func TestEndToEnd(t *testing.T) {
 // TestStatsReportCheckpointPause asserts the checkpoint telemetry rewindd
 // serves: after an incremental checkpoint runs against the store, STATS
 // must report a completed checkpoint with a non-zero worst freeze pause and
-// the freeze count the budget implies — the numbers an operator tunes
-// -checkpoint-pause against.
+// the freeze count the budget implies — the numbers the daemon's pause
+// budget is judged by.
 func TestStatsReportCheckpointPause(t *testing.T) {
 	srv, addr := startServer(t, false)
 	cl := client.Dial(addr, client.Options{Conns: 1})
