@@ -7,6 +7,8 @@ import (
 	"testing/quick"
 
 	"github.com/rewind-db/rewind"
+	"github.com/rewind-db/rewind/internal/crashtest"
+	"github.com/rewind-db/rewind/internal/nvm"
 )
 
 const slot = rewind.AppRootFirst + 1
@@ -258,92 +260,103 @@ func TestCrashRecoveryPreservesCommittedOps(t *testing.T) {
 	}
 }
 
+// treeCase is a crash case over one small-fan-out tree in a store opened
+// with Force and the Optimized log: setup fills it once, and every run
+// reattaches it.
+func treeCase(mode rewind.CommitMode, setup func(*Tree) error, model func() crashtest.Model[*Tree]) crashtest.Case[*Tree] {
+	opts := rewind.Options{ArenaSize: 64 << 20, Policy: rewind.Force, LogKind: rewind.Optimized, CommitMode: mode}
+	return crashtest.Case[*Tree]{
+		Setup: func() (*nvm.Memory, error) {
+			s, err := rewind.Open(opts)
+			if err != nil {
+				return nil, err
+			}
+			tr, err := New(s, smallCfg())
+			if err != nil {
+				return nil, err
+			}
+			return s.Mem(), setup(tr)
+		},
+		Open: func(m *nvm.Memory) (*Tree, error) {
+			s, err := rewind.Reattach(opts, m)
+			if err != nil {
+				return nil, err
+			}
+			return Attach(s, smallCfg())
+		},
+		Model: model,
+	}
+}
+
+// oneOp runs op on key as the window. After recovery the tree holds the
+// keys it had, or those plus key (insert) or minus it (delete) — the
+// latter once op returned.
+func oneOp(key uint64, insert bool, op func(*Tree) error) func() crashtest.Model[*Tree] {
+	return func() crashtest.Model[*Tree] {
+		before, done := 0, false
+		return crashtest.Funcs[*Tree]{
+			Workload: func(tr *Tree, arm func()) error {
+				before = len(tr.Keys())
+				arm()
+				err := op(tr)
+				done = true
+				return err
+			},
+			Verify: func(tr *Tree, crashed bool) error {
+				if err := tr.CheckInvariants(); err != nil {
+					return err
+				}
+				_, present := tr.Lookup(key)
+				applied, want := present == insert, before
+				switch {
+				case applied && insert:
+					want++
+				case applied:
+					want--
+				case done:
+					return fmt.Errorf("op on key %d returned but did not survive", key)
+				}
+				if keys := len(tr.Keys()); keys != want {
+					return fmt.Errorf("key %d applied=%v with %d keys, want %d", key, applied, keys, want)
+				}
+				return nil
+			},
+		}
+	}
+}
+
 // TestCrashMidSplitIsAtomic injects crashes through an insert that splits
 // nodes up to the root — the deepest structural change — and checks
 // atomicity after recovery.
 func TestCrashMidSplitIsAtomic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("crash matrix")
-	}
-	for crashAt := 1; ; crashAt += 3 {
-		opts := rewind.Options{ArenaSize: 64 << 20, Policy: rewind.Force, LogKind: rewind.Optimized}
-		s, tr := newTree(t, opts, smallCfg())
+	crashtest.Explore(t, treeCase(rewind.UndoRedo, func(tr *Tree) error {
 		// Fill so the next insert splits up to the root.
 		for k := uint64(0); k < 24; k++ {
-			tr.InsertAtomic(k*10, val(k, 16))
+			if _, err := tr.InsertAtomic(k*10, val(k, 16)); err != nil {
+				return err
+			}
 		}
-		before := len(tr.Keys())
-		s.Mem().SetCrashAfter(crashAt)
-		crashed := s.Mem().RunToCrash(func() { tr.InsertAtomic(115, val(9, 16)) })
-		s.Mem().SetCrashAfter(0)
-		s2, err := rewind.Reattach(s.Options(), s.Mem())
-		if err != nil {
-			t.Fatalf("crashAt=%d: %v", crashAt, err)
-		}
-		tr2, err := Attach(s2, smallCfg())
-		if err != nil {
-			t.Fatalf("crashAt=%d: %v", crashAt, err)
-		}
-		if err := tr2.CheckInvariants(); err != nil {
-			t.Fatalf("crashAt=%d: %v", crashAt, err)
-		}
-		keys := tr2.Keys()
-		_, present := tr2.Lookup(115)
-		if present && len(keys) != before+1 {
-			t.Fatalf("crashAt=%d: inserted but %d keys", crashAt, len(keys))
-		}
-		if !present && len(keys) != before {
-			t.Fatalf("crashAt=%d: not inserted but %d keys (want %d)", crashAt, len(keys), before)
-		}
-		if !crashed {
-			return
-		}
-	}
+		return nil
+	}, oneOp(115, true, func(tr *Tree) error { _, err := tr.InsertAtomic(115, val(9, 16)); return err })))
 }
 
 // TestCrashMidMergeIsAtomic mirrors the split test for the deepest delete
 // rebalancing paths.
 func TestCrashMidMergeIsAtomic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("crash matrix")
-	}
-	for crashAt := 1; ; crashAt += 3 {
-		opts := rewind.Options{ArenaSize: 64 << 20, Policy: rewind.Force, LogKind: rewind.Optimized}
-		s, tr := newTree(t, opts, smallCfg())
+	crashtest.Explore(t, treeCase(rewind.UndoRedo, func(tr *Tree) error {
 		for k := uint64(0); k < 25; k++ {
-			tr.InsertAtomic(k, val(k, 16))
+			if _, err := tr.InsertAtomic(k, val(k, 16)); err != nil {
+				return err
+			}
 		}
 		// Drain until the next delete merges down the whole left spine.
 		for k := uint64(0); k < 12; k++ {
-			tr.DeleteAtomic(k)
+			if _, err := tr.DeleteAtomic(k); err != nil {
+				return err
+			}
 		}
-		before := len(tr.Keys())
-		s.Mem().SetCrashAfter(crashAt)
-		crashed := s.Mem().RunToCrash(func() { tr.DeleteAtomic(12) })
-		s.Mem().SetCrashAfter(0)
-		s2, err := rewind.Reattach(s.Options(), s.Mem())
-		if err != nil {
-			t.Fatalf("crashAt=%d: %v", crashAt, err)
-		}
-		tr2, err := Attach(s2, smallCfg())
-		if err != nil {
-			t.Fatalf("crashAt=%d: %v", crashAt, err)
-		}
-		if err := tr2.CheckInvariants(); err != nil {
-			t.Fatalf("crashAt=%d: %v", crashAt, err)
-		}
-		_, present := tr2.Lookup(12)
-		keys := len(tr2.Keys())
-		if present && keys != before {
-			t.Fatalf("crashAt=%d: rollback left %d keys, want %d", crashAt, keys, before)
-		}
-		if !present && keys != before-1 {
-			t.Fatalf("crashAt=%d: delete left %d keys, want %d", crashAt, keys, before-1)
-		}
-		if !crashed {
-			return
-		}
-	}
+		return nil
+	}, oneOp(12, false, func(tr *Tree) error { _, err := tr.DeleteAtomic(12); return err })))
 }
 
 func TestNVMAndDRAMWriters(t *testing.T) {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/rewind-db/rewind"
+	"github.com/rewind-db/rewind/internal/crashtest"
 	"github.com/rewind-db/rewind/internal/pmem"
 )
 
@@ -99,63 +101,58 @@ func TestMigrateRange(t *testing.T) {
 // pre-migration keys — whether the transaction replayed or rolled back —
 // with clean tree and heap invariants.
 func TestMigrateCrashMatrix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("crash matrix")
-	}
 	for _, mode := range []rewind.CommitMode{rewind.UndoRedo, rewind.RedoOnly} {
-		for crashAt := 1; ; crashAt += 3 {
-			opts := rewind.Options{ArenaSize: 64 << 20, Policy: rewind.Force, LogKind: rewind.Optimized, CommitMode: mode}
-			s, tr := newTree(t, opts, smallCfg())
+		crashtest.Explore(t, treeCase(mode, func(tr *Tree) error {
 			for k := uint64(1); k <= 120; k++ {
-				tr.InsertAtomic(k, val(k, 16))
-			}
-			alloc := s.Allocator()
-			lo := uint64(pmem.HeapBase)
-			hi := lo + uint64(alloc.HeapUsed())/2
-			alloc.SetReclaiming(lo, hi)
-			s.Mem().SetCrashAfter(crashAt)
-			crashed := s.Mem().RunToCrash(func() {
-				for {
-					var done bool
-					err := s.Atomic(func(tx *rewind.Tx) error {
-						var err error
-						_, done, err = tr.MigrateRange(tx, lo, hi, 9)
-						return err
-					})
-					if err != nil || done {
-						return
-					}
-				}
-			})
-			s.Mem().SetCrashAfter(0)
-			s2, err := rewind.Reattach(s.Options(), s.Mem())
-			if err != nil {
-				t.Fatalf("mode %v crashAt=%d: %v", mode, crashAt, err)
-			}
-			tr2, err := Attach(s2, smallCfg())
-			if err != nil {
-				t.Fatalf("mode %v crashAt=%d: %v", mode, crashAt, err)
-			}
-			if err := tr2.CheckInvariants(); err != nil {
-				t.Fatalf("mode %v crashAt=%d: %v", mode, crashAt, err)
-			}
-			if err := s2.Allocator().CheckHeap(); err != nil {
-				t.Fatalf("mode %v crashAt=%d: %v", mode, crashAt, err)
-			}
-			keys := tr2.Keys()
-			if len(keys) != 120 {
-				t.Fatalf("mode %v crashAt=%d: %d keys after recovery, want 120", mode, crashAt, len(keys))
-			}
-			for i, k := range keys {
-				if k != uint64(i+1) {
-					t.Fatalf("mode %v crashAt=%d: key order broken at %d: %d", mode, crashAt, i, k)
+				if _, err := tr.InsertAtomic(k, val(k, 16)); err != nil {
+					return err
 				}
 			}
-			if !crashed {
-				break
-			}
+			return nil
+		}, func() crashtest.Model[*Tree] { return migrateRun{} }))
+	}
+}
+
+// migrateRun moves every node out of the lower half of the heap, nine per
+// transaction.
+type migrateRun struct{}
+
+func (migrateRun) Run(tr *Tree, arm func()) error {
+	s := tr.s
+	alloc := s.Allocator()
+	lo := uint64(pmem.HeapBase)
+	hi := lo + uint64(alloc.HeapUsed())/2
+	alloc.SetReclaiming(lo, hi)
+	arm()
+	for done := false; !done; {
+		if err := s.Atomic(func(tx *rewind.Tx) error {
+			var err error
+			_, done, err = tr.MigrateRange(tx, lo, hi, 9)
+			return err
+		}); err != nil {
+			return err
 		}
 	}
+	return nil
+}
+
+func (migrateRun) Check(tr *Tree, crashed bool) error {
+	if err := tr.CheckInvariants(); err != nil {
+		return err
+	}
+	if err := tr.s.Allocator().CheckHeap(); err != nil {
+		return err
+	}
+	keys := tr.Keys()
+	if len(keys) != 120 {
+		return fmt.Errorf("%d keys after recovery, want 120", len(keys))
+	}
+	for i, k := range keys {
+		if k != uint64(i+1) {
+			return fmt.Errorf("key order broken at %d: %d", i, k)
+		}
+	}
+	return nil
 }
 
 // lenRec builds a length-prefixed record prefix: the length word, then n

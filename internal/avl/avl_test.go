@@ -1,11 +1,13 @@
 package avl
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"github.com/rewind-db/rewind/internal/crashtest"
 	"github.com/rewind-db/rewind/internal/nvm"
 	"github.com/rewind-db/rewind/internal/pmem"
 	"github.com/rewind-db/rewind/internal/rlog"
@@ -186,152 +188,128 @@ func snapshot(tr *Tree) map[uint64][2]uint64 {
 	return out
 }
 
+// treeCase is a crash case over one tree: setup populates it with a record
+// per txn, and every run reopens it with pmem.Open and Open.
+func treeCase(txns []uint64, model func() crashtest.Model[*Tree]) crashtest.Case[*Tree] {
+	return crashtest.Case[*Tree]{
+		Setup: func() (*nvm.Memory, error) {
+			m := nvm.New(nvm.Config{Size: 1 << 20, TrackPersistence: true})
+			a := pmem.Format(m)
+			tr := New(a, cfg())
+			for _, txn := range txns {
+				tr.InsertRecord(txn, fakeRecord(a, txn))
+			}
+			return m, nil
+		},
+		Open: func(m *nvm.Memory) (*Tree, error) {
+			a, err := pmem.Open(m)
+			if err != nil {
+				return nil, err
+			}
+			return Open(a, cfg())
+		},
+		Model: model,
+	}
+}
+
+// sameBut checks that after holds before's entries unchanged, txn aside.
+func sameBut(after, before map[uint64][2]uint64, txn uint64) error {
+	for k, v := range before {
+		if k != txn && after[k] != v {
+			return fmt.Errorf("entry %d corrupted: %v", k, after)
+		}
+	}
+	for k := range after {
+		if _, ok := before[k]; !ok && k != txn {
+			return fmt.Errorf("entry %d appeared: %v", k, after)
+		}
+	}
+	return nil
+}
+
+// insertTxn inserts a record for txn 9 into the tree of 9 entries: the
+// insert rebalances. After recovery the tree holds exactly the before
+// state, or it plus the new entry — all new once the insert returned.
+func insertTxn(checkUsable bool) func() crashtest.Model[*Tree] {
+	return func() crashtest.Model[*Tree] {
+		var before map[uint64][2]uint64
+		var rec uint64
+		inserted := false
+		return crashtest.Funcs[*Tree]{
+			Workload: func(tr *Tree, arm func()) error {
+				before, rec = snapshot(tr), fakeRecord(tr.a, 100)
+				arm()
+				tr.InsertRecord(9, rec)
+				inserted = true
+				return nil
+			},
+			Verify: func(tr *Tree, crashed bool) error {
+				if err := tr.CheckInvariants(); err != nil {
+					return err
+				}
+				after := snapshot(tr)
+				if got, ok := after[9]; (ok && got != [2]uint64{rec, rec}) || (inserted && !ok) {
+					return fmt.Errorf("partial or lost insert: %v", after)
+				}
+				if err := sameBut(after, before, 9); err != nil {
+					return err
+				}
+				if !checkUsable {
+					return nil
+				}
+				// The recovered tree must accept further operations.
+				tr.InsertRecord(999, fakeRecord(tr.a, 999))
+				if _, _, ok := tr.Lookup(999); !ok {
+					return fmt.Errorf("post-recovery insert failed")
+				}
+				return nil
+			},
+		}
+	}
+}
+
 // TestCrashAtEveryPointDuringInsert verifies operation atomicity: a crash
 // at any durable-op boundary during InsertRecord leaves, after recovery,
 // either the exact before state or the exact after state.
 func TestCrashAtEveryPointDuringInsert(t *testing.T) {
-	for crashAt := 1; ; crashAt += crashStride() {
-		m := nvm.New(nvm.Config{Size: 64 << 20, TrackPersistence: true})
-		a := pmem.Format(m)
-		tr := New(a, cfg())
-		// Pre-populate so the insert triggers rebalancing.
-		for _, txn := range []uint64{10, 5, 15, 3, 7, 12, 20, 6, 8} {
-			tr.InsertRecord(txn, fakeRecord(a, txn))
-		}
-		before := snapshot(tr)
-		rec := fakeRecord(a, 100)
-		m.SetCrashAfter(crashAt)
-		crashed := m.RunToCrash(func() { tr.InsertRecord(9, rec) })
-		m.SetCrashAfter(0)
-		tr2, err := Open(a, cfg())
-		if err != nil {
-			t.Fatalf("crashAt=%d: Open: %v", crashAt, err)
-		}
-		if err := tr2.CheckInvariants(); err != nil {
-			t.Fatalf("crashAt=%d: %v", crashAt, err)
-		}
-		after := snapshot(tr2)
-		_, inserted := after[9]
-		if inserted {
-			// Must be exactly before + the new entry.
-			if len(after) != len(before)+1 || after[9] != [2]uint64{rec, rec} {
-				t.Fatalf("crashAt=%d: partial insert visible: %v", crashAt, after)
-			}
-			for k, v := range before {
-				if after[k] != v {
-					t.Fatalf("crashAt=%d: entry %d corrupted", crashAt, k)
-				}
-			}
-		} else {
-			if len(after) != len(before) {
-				t.Fatalf("crashAt=%d: before state corrupted: %v", crashAt, after)
-			}
-			for k, v := range before {
-				if after[k] != v {
-					t.Fatalf("crashAt=%d: entry %d corrupted", crashAt, k)
-				}
-			}
-		}
-		// The recovered tree must accept further operations.
-		tr2.InsertRecord(999, fakeRecord(a, 999))
-		if _, _, ok := tr2.Lookup(999); !ok {
-			t.Fatalf("crashAt=%d: post-recovery insert failed", crashAt)
-		}
-		if !crashed {
-			return
-		}
-	}
+	crashtest.Explore(t, treeCase([]uint64{10, 5, 15, 3, 7, 12, 20, 6, 8}, insertTxn(true)))
 }
 
 // TestCrashAtEveryPointDuringRemove mirrors the insert test for removals,
 // which exercise the deepest rebalancing paths.
 func TestCrashAtEveryPointDuringRemove(t *testing.T) {
-	for crashAt := 1; ; crashAt += crashStride() {
-		m := nvm.New(nvm.Config{Size: 64 << 20, TrackPersistence: true})
-		a := pmem.Format(m)
-		tr := New(a, cfg())
-		for _, txn := range []uint64{10, 5, 15, 3, 7, 12, 20, 6, 8, 11, 13, 17, 25} {
-			tr.InsertRecord(txn, fakeRecord(a, txn))
-		}
-		before := snapshot(tr)
-		m.SetCrashAfter(crashAt)
-		crashed := m.RunToCrash(func() { tr.RemoveTxn(10) }) // two-child case
-		m.SetCrashAfter(0)
-		tr2, err := Open(a, cfg())
-		if err != nil {
-			t.Fatalf("crashAt=%d: Open: %v", crashAt, err)
-		}
-		if err := tr2.CheckInvariants(); err != nil {
-			t.Fatalf("crashAt=%d: %v", crashAt, err)
-		}
-		after := snapshot(tr2)
-		if _, present := after[10]; present {
-			for k, v := range before {
-				if after[k] != v {
-					t.Fatalf("crashAt=%d: before state corrupted at %d", crashAt, k)
+	crashtest.Explore(t, treeCase([]uint64{10, 5, 15, 3, 7, 12, 20, 6, 8, 11, 13, 17, 25}, func() crashtest.Model[*Tree] {
+		var before map[uint64][2]uint64
+		removed := false
+		return crashtest.Funcs[*Tree]{
+			Workload: func(tr *Tree, arm func()) error {
+				before = snapshot(tr)
+				arm()
+				tr.RemoveTxn(10) // two-child case
+				removed = true
+				return nil
+			},
+			Verify: func(tr *Tree, crashed bool) error {
+				if err := tr.CheckInvariants(); err != nil {
+					return err
 				}
-			}
-		} else {
-			if len(after) != len(before)-1 {
-				t.Fatalf("crashAt=%d: wrong size after removal: %d", crashAt, len(after))
-			}
-			for k, v := range before {
-				if k == 10 {
-					continue
+				after := snapshot(tr)
+				if got, ok := after[10]; (ok && got != before[10]) || (removed && ok) {
+					return fmt.Errorf("removal not atomic: %v", after)
 				}
-				if after[k] != v {
-					t.Fatalf("crashAt=%d: entry %d corrupted", crashAt, k)
-				}
-			}
+				return sameBut(after, before, 10)
+			},
 		}
-		if !crashed {
-			return
-		}
-	}
+	}))
 }
 
-// TestDoubleCrashDuringRecovery crashes again while recovery itself runs,
-// then recovers fully and checks convergence.
+// TestDoubleCrashDuringRecovery crashes the insert before every durable
+// operation and recovery before every one of its own, then recovers fully
+// and checks convergence.
 func TestDoubleCrashDuringRecovery(t *testing.T) {
-	m := nvm.New(nvm.Config{Size: 64 << 20, TrackPersistence: true})
-	a := pmem.Format(m)
-	tr := New(a, cfg())
-	for _, txn := range []uint64{10, 5, 15, 3, 7} {
-		tr.InsertRecord(txn, fakeRecord(a, txn))
-	}
-	before := snapshot(tr)
-	// Crash mid-insert.
-	m.SetCrashAfter(12)
-	if !m.RunToCrash(func() { tr.InsertRecord(6, fakeRecord(a, 6)) }) {
-		t.Skip("first crash point beyond operation length")
-	}
-	// Crash again during recovery, repeatedly, then let it finish.
-	for i := 0; i < 5; i++ {
-		m.SetCrashAfter(3)
-		m.RunToCrash(func() {
-			tr2, err := Open(a, cfg())
-			_ = tr2
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	m.SetCrashAfter(0)
-	tr3, err := Open(a, cfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr3.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	after := snapshot(tr3)
-	if _, inserted := after[6]; !inserted {
-		for k, v := range before {
-			if after[k] != v {
-				t.Fatalf("entry %d corrupted after repeated recovery crashes", k)
-			}
-		}
-	}
+	c := treeCase([]uint64{10, 5, 15, 3, 7, 12, 20, 6, 8}, insertTxn(false))
+	c.EveryRecoveryPoint = true
+	crashtest.Explore(t, c)
 }
 
 // TestQuickRandomOpsKeepInvariants property-tests random insert/remove
@@ -372,14 +350,4 @@ func TestQuickRandomOpsKeepInvariants(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// crashStride spaces the injected crash points of the crash matrices:
-// every durable operation in normal runs, a sample of them under -short
-// (the matrices dominate the package's test time).
-func crashStride() int {
-	if testing.Short() {
-		return 5
-	}
-	return 1
 }

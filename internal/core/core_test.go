@@ -432,156 +432,6 @@ func TestCountersReseededAfterRecovery(t *testing.T) {
 	}
 }
 
-// TestCrashAtEveryPointEndToEnd is the system-level atomicity check: a
-// three-transaction workload (commit / rollback / in-flight) is crashed at
-// every durable-operation boundary; after recovery each transaction must be
-// all-or-nothing, a transaction whose Commit returned must be all-new, and
-// the rolled-back and in-flight transactions must be all-old.
-func TestCrashAtEveryPointEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long crash matrix")
-	}
-	for _, cfg := range testConfigs() {
-		cfg := cfg
-		t.Run(cfg.String(), func(t *testing.T) {
-			t.Parallel()
-			for crashAt := 1; ; crashAt++ {
-				m := nvm.New(nvm.Config{Size: 16 << 20, TrackPersistence: true})
-				a := pmem.Format(m)
-				tm, err := New(a, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Three 4-word regions, old values 10+i, 20+i, 30+i.
-				d1 := dataBlock(a, 4, 10)
-				d2 := dataBlock(a, 4, 20)
-				d3 := dataBlock(a, 4, 30)
-
-				committed1 := false
-				m.SetCrashAfter(crashAt)
-				crashed := m.RunToCrash(func() {
-					t1 := tm.Begin()
-					t2 := tm.Begin()
-					t3 := tm.Begin()
-					for i := uint64(0); i < 4; i++ {
-						t1.Write64(d1+i*8, 110+i)
-						t2.Write64(d2+i*8, 120+i)
-						t3.Write64(d3+i*8, 130+i)
-					}
-					t1.Commit()
-					committed1 = true
-					t2.Rollback()
-					// t3 left running.
-				})
-				m.SetCrashAfter(0)
-
-				a2, err := pmem.Open(m)
-				if err != nil {
-					t.Fatalf("crashAt=%d: %v", crashAt, err)
-				}
-				tm2, _, err := Open(a2, cfg)
-				if err != nil {
-					t.Fatalf("crashAt=%d: Open: %v", crashAt, err)
-				}
-
-				check := func(name string, base uint64, oldBase, newBase uint64, mustBeNew, mustBeOld bool) {
-					t.Helper()
-					first := m.Load64(base)
-					isNew := first == newBase
-					isOld := first == oldBase
-					if !isNew && !isOld {
-						t.Fatalf("crashAt=%d: %s word0 = %d: neither old nor new", crashAt, name, first)
-					}
-					if mustBeNew && !isNew {
-						t.Fatalf("crashAt=%d: %s lost committed data", crashAt, name)
-					}
-					if mustBeOld && !isOld {
-						t.Fatalf("crashAt=%d: %s kept aborted data", crashAt, name)
-					}
-					want := oldBase
-					if isNew {
-						want = newBase
-					}
-					for i := uint64(0); i < 4; i++ {
-						if got := m.Load64(base + i*8); got != want+i {
-							t.Fatalf("crashAt=%d: %s torn: word %d = %d, want %d", crashAt, name, i, got, want+i)
-						}
-					}
-				}
-				check("t1", d1, 10, 110, committed1, false)
-				check("t2", d2, 20, 120, false, crashed) // if no crash, rollback ran: all-old
-				check("t3", d3, 30, 130, false, true)    // never committed
-
-				// The recovered manager must be fully usable.
-				nt := tm2.Begin()
-				if err := nt.Write64(d1, 999); err != nil {
-					t.Fatalf("crashAt=%d: post-recovery write: %v", crashAt, err)
-				}
-				if err := nt.Commit(); err != nil {
-					t.Fatalf("crashAt=%d: post-recovery commit: %v", crashAt, err)
-				}
-				if !crashed {
-					return
-				}
-			}
-		})
-	}
-}
-
-// TestDoubleCrashDuringRecovery crashes recovery itself at several points
-// and verifies convergence.
-func TestDoubleCrashDuringRecovery(t *testing.T) {
-	for _, cfg := range testConfigs() {
-		t.Run(cfg.String(), func(t *testing.T) {
-			m := nvm.New(nvm.Config{Size: 16 << 20, TrackPersistence: true})
-			a := pmem.Format(m)
-			tm, err := New(a, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data := dataBlock(a, 4, 10)
-			// Crash mid-transaction.
-			m.SetCrashAfter(25)
-			m.RunToCrash(func() {
-				tx := tm.Begin()
-				for i := uint64(0); i < 4; i++ {
-					tx.Write64(data+i*8, 110+i)
-				}
-				tx.Commit()
-			})
-			// Crash during recovery at increasing depths, then finish.
-			for depth := 1; depth <= 40; depth += 7 {
-				m.SetCrashAfter(depth)
-				m.RunToCrash(func() {
-					a2, err := pmem.Open(m)
-					if err != nil {
-						t.Fatal(err)
-					}
-					Open(a2, cfg) //nolint:errcheck // crash expected mid-way
-				})
-			}
-			m.SetCrashAfter(0)
-			a3, err := pmem.Open(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := Open(a3, cfg); err != nil {
-				t.Fatal(err)
-			}
-			first := m.Load64(data)
-			want := uint64(10)
-			if first == 110 {
-				want = 110
-			}
-			for i := uint64(0); i < 4; i++ {
-				if got := m.Load64(data + i*8); got != want+i {
-					t.Fatalf("torn after repeated recovery crashes: word %d = %d", i, got)
-				}
-			}
-		})
-	}
-}
-
 func TestConcurrentTransactions(t *testing.T) {
 	for _, cfg := range testConfigs() {
 		cfg := cfg

@@ -130,8 +130,7 @@ func (tm *TM) recover() *RecoveryStats {
 
 	// Clear everything: after recovery all transactions are complete.
 	if tm.cfg.Layers == TwoLayer {
-		tm.freeAllChains()
-		tm.tree.Reset()
+		tm.resetChains()
 	} else {
 		for _, sh := range tm.shards {
 			sh.log.Reset(true)
@@ -492,6 +491,7 @@ func (tm *TM) redoRecord(r rlog.Record, filter func(uint64) bool, applied func(u
 // and its durable user write.
 func (tm *TM) undoScan(rs *RecoveryStats, recs []rlog.Record) {
 	undoMap := map[uint64]uint64{}
+	restored := map[uint64]bool{}
 	for i := len(recs) - 1; i >= 0; i-- {
 		r := recs[i]
 		x, ok := tm.table[r.Txn()]
@@ -509,9 +509,7 @@ func (tm *TM) undoScan(rs *RecoveryStats, recs []rlog.Record) {
 				undoMap[r.Txn()] = r.UndoNext()
 			}
 			if tm.cfg.Policy == Force {
-				for w, n := 0, r.Words(); w < n; w++ {
-					tm.mem.StoreNT64(r.TargetAt(w), r.NewAt(w))
-				}
+				tm.reapplyCLR(r, restored)
 			}
 		case rlog.TypeUpdate:
 			if !r.Undoable() {
@@ -525,6 +523,20 @@ func (tm *TM) undoScan(rs *RecoveryStats, recs []rlog.Record) {
 				sh.mu.Unlock()
 				rs.Undone++
 			}
+		}
+	}
+}
+
+// reapplyCLR re-applies, under Force, the compensation a crashed recovery
+// logged but may not have stored. The undo passes meet a loser's CLRs
+// newest first, and the newest CLR of a word holds the value undo had
+// reached: restored records the words already written, so an older CLR of
+// the same word does not overwrite it.
+func (tm *TM) reapplyCLR(r rlog.Record, restored map[uint64]bool) {
+	for w, n := 0, r.Words(); w < n; w++ {
+		if addr := r.TargetAt(w); !restored[addr] {
+			restored[addr] = true
+			tm.mem.StoreNT64(addr, r.NewAt(w))
 		}
 	}
 }
@@ -546,6 +558,7 @@ func (tm *TM) undoChains(rs *RecoveryStats) {
 		}
 		sh := tm.shardFor(x.id)
 		resume := ^uint64(0)
+		restored := map[uint64]bool{}
 		for cur := tail; cur != nvm.Null; {
 			r := rlog.View(tm.mem, cur)
 			next := r.PrevTxn()
@@ -555,9 +568,7 @@ func (tm *TM) undoChains(rs *RecoveryStats) {
 					resume = r.UndoNext()
 				}
 				if tm.cfg.Policy == Force {
-					for w, n := 0, r.Words(); w < n; w++ {
-						tm.mem.StoreNT64(r.TargetAt(w), r.NewAt(w))
-					}
+					tm.reapplyCLR(r, restored)
 				}
 			case rlog.TypeUpdate:
 				if r.Undoable() && r.LSN() < resume {
@@ -602,10 +613,14 @@ func (tm *TM) applyFinishedDeletes(recs []rlog.Record) {
 	}
 }
 
-// freeAllChains releases every record block indexed by the tree, ahead of
-// a wholesale tree reset.
-func (tm *TM) freeAllChains() {
-	for _, c := range tm.tree.Txns() {
+// resetChains empties the tree and frees every record block it indexed.
+// The tree lets go of the chains first: a crash part-way through the frees
+// then leaks the rest, where freeing first would leave the tree pointing
+// into freed, soon reused, blocks for the next recovery to walk.
+func (tm *TM) resetChains() {
+	chains := tm.tree.Txns()
+	tm.tree.Reset()
+	for _, c := range chains {
 		for cur := c.Tail; cur != nvm.Null; {
 			r := rlog.View(tm.mem, cur)
 			next := r.PrevTxn()

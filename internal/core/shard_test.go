@@ -253,101 +253,6 @@ func TestShardedLSNMergeOrder(t *testing.T) {
 	}
 }
 
-// TestShardedCrashMatrix is the sharded version of the end-to-end crash
-// matrix: three transactions on three different shards (committed, rolled
-// back, left running), crashed before every durable operation in turn.
-func TestShardedCrashMatrix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long crash matrix")
-	}
-	for _, cfg := range shardConfigs(4) {
-		cfg := cfg
-		t.Run(cfg.String(), func(t *testing.T) {
-			t.Parallel()
-			for crashAt := 1; ; crashAt++ {
-				m := nvm.New(nvm.Config{Size: 16 << 20, TrackPersistence: true})
-				a := pmem.Format(m)
-				tm, err := New(a, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				d1 := dataBlock(a, 4, 10)
-				d2 := dataBlock(a, 4, 20)
-				d3 := dataBlock(a, 4, 30)
-
-				committed1 := false
-				m.SetCrashAfter(crashAt)
-				crashed := m.RunToCrash(func() {
-					t1 := tm.Begin()
-					t2 := tm.Begin()
-					t3 := tm.Begin()
-					if tm.ShardOf(t1.ID()) == tm.ShardOf(t2.ID()) || tm.ShardOf(t2.ID()) == tm.ShardOf(t3.ID()) {
-						t.Error("test transactions share a shard")
-					}
-					for i := uint64(0); i < 4; i++ {
-						t1.Write64(d1+i*8, 110+i)
-						t2.Write64(d2+i*8, 120+i)
-						t3.Write64(d3+i*8, 130+i)
-					}
-					t1.Commit()
-					committed1 = true
-					t2.Rollback()
-					// t3 left running.
-				})
-				m.SetCrashAfter(0)
-
-				a2, err := pmem.Open(m)
-				if err != nil {
-					t.Fatalf("crashAt=%d: %v", crashAt, err)
-				}
-				tm2, _, err := Open(a2, cfg)
-				if err != nil {
-					t.Fatalf("crashAt=%d: Open: %v", crashAt, err)
-				}
-
-				check := func(name string, base uint64, oldBase, newBase uint64, mustBeNew, mustBeOld bool) {
-					t.Helper()
-					first := m.Load64(base)
-					isNew := first == newBase
-					isOld := first == oldBase
-					if !isNew && !isOld {
-						t.Fatalf("crashAt=%d: %s word0 = %d: neither old nor new", crashAt, name, first)
-					}
-					if mustBeNew && !isNew {
-						t.Fatalf("crashAt=%d: %s lost committed data", crashAt, name)
-					}
-					if mustBeOld && !isOld {
-						t.Fatalf("crashAt=%d: %s kept aborted data", crashAt, name)
-					}
-					want := oldBase
-					if isNew {
-						want = newBase
-					}
-					for i := uint64(0); i < 4; i++ {
-						if got := m.Load64(base + i*8); got != want+i {
-							t.Fatalf("crashAt=%d: %s torn: word %d = %d, want %d", crashAt, name, i, got, want+i)
-						}
-					}
-				}
-				check("t1", d1, 10, 110, committed1, false)
-				check("t2", d2, 20, 120, false, crashed)
-				check("t3", d3, 30, 130, false, true)
-
-				nt := tm2.Begin()
-				if err := nt.Write64(d1, 999); err != nil {
-					t.Fatalf("crashAt=%d: post-recovery write: %v", crashAt, err)
-				}
-				if err := nt.Commit(); err != nil {
-					t.Fatalf("crashAt=%d: post-recovery commit: %v", crashAt, err)
-				}
-				if !crashed {
-					return
-				}
-			}
-		})
-	}
-}
-
 // TestShardedCheckpointUnderLoad races repeated checkpoints against
 // committing workers on a sharded no-force store — the lock-all-shards
 // freeze, the finished-transaction snapshot, and the unlocked per-shard

@@ -4,25 +4,8 @@ import (
 	"errors"
 	"testing"
 
-	"github.com/rewind-db/rewind/internal/nvm"
-	"github.com/rewind-db/rewind/internal/pmem"
 	"github.com/rewind-db/rewind/internal/rlog"
 )
-
-// spanConfigs is the crash-matrix design space the span refactor must
-// cover: every one-layer log kind under both policies. (The two-layer
-// configuration stores span records in the AAVLT through the same
-// appendShard path; the all-config rollback test below covers it.)
-func spanConfigs() []Config {
-	var out []Config
-	for _, kind := range []rlog.Kind{rlog.Simple, rlog.Optimized, rlog.Batch} {
-		for _, policy := range []Policy{NoForce, Force} {
-			out = append(out, Config{Policy: policy, Layers: OneLayer, LogKind: kind,
-				BucketSize: 16, GroupSize: 4, RootBase: rootBase})
-		}
-	}
-	return out
-}
 
 func bytesImage(vals []uint64) []byte {
 	p := make([]byte, len(vals)*8)
@@ -181,165 +164,5 @@ func TestHandleFastPathSemantics(t *testing.T) {
 	b := btm.Begin()
 	if err := b.Log(data, 0, 1); !errors.Is(err, ErrLogWithBatch) {
 		t.Fatalf("handle Log under Batch: %v, want ErrLogWithBatch", err)
-	}
-}
-
-// TestSpanCrashMatrix is the satellite crash-injection matrix: a
-// transaction performs a multi-word transactional write (one span record),
-// the device crashes before every durable operation in turn — for all
-// three LogKinds under Force and NoForce — and recovery must restore
-// either all of the span or none of it. A second, committed span
-// transaction must always be all-new once Commit returned, and a third
-// left in flight must always be all-old.
-func TestSpanCrashMatrix(t *testing.T) {
-	stride := 1
-	if testing.Short() {
-		stride = 5
-	}
-	for _, cfg := range spanConfigs() {
-		cfg := cfg
-		t.Run(cfg.String(), func(t *testing.T) {
-			t.Parallel()
-			const words = 10
-			for crashAt := 1; ; crashAt += stride {
-				m := nvm.New(nvm.Config{Size: 16 << 20, TrackPersistence: true})
-				a := pmem.Format(m)
-				tm, err := New(a, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				d1 := dataBlock(a, words, 10)
-				d2 := dataBlock(a, words, 30)
-
-				span := func(base uint64) []byte {
-					vals := make([]uint64, words)
-					for i := range vals {
-						vals[i] = base + uint64(i)
-					}
-					return bytesImage(vals)
-				}
-
-				committed1 := false
-				m.SetCrashAfter(crashAt)
-				crashed := m.RunToCrash(func() {
-					t1 := tm.Begin()
-					t2 := tm.Begin()
-					if err := t1.WriteBytes(d1, span(110)); err != nil {
-						t.Error(err)
-					}
-					if err := t2.WriteBytes(d2, span(130)); err != nil {
-						t.Error(err)
-					}
-					if err := t1.Commit(); err != nil {
-						t.Error(err)
-					}
-					committed1 = true
-					// t2 left in flight.
-				})
-				m.SetCrashAfter(0)
-
-				a2, err := pmem.Open(m)
-				if err != nil {
-					t.Fatalf("crashAt=%d: %v", crashAt, err)
-				}
-				tm2, _, err := Open(a2, cfg)
-				if err != nil {
-					t.Fatalf("crashAt=%d: Open: %v", crashAt, err)
-				}
-
-				check := func(name string, base, oldBase, newBase uint64, mustBeNew, mustBeOld bool) {
-					t.Helper()
-					first := m.Load64(base)
-					isNew := first == newBase
-					isOld := first == oldBase
-					if !isNew && !isOld {
-						t.Fatalf("crashAt=%d: %s word0 = %d: neither old nor new", crashAt, name, first)
-					}
-					if mustBeNew && !isNew {
-						t.Fatalf("crashAt=%d: %s lost committed span", crashAt, name)
-					}
-					if mustBeOld && !isOld {
-						t.Fatalf("crashAt=%d: %s kept uncommitted span", crashAt, name)
-					}
-					want := oldBase
-					if isNew {
-						want = newBase
-					}
-					for i := uint64(0); i < words; i++ {
-						if got := m.Load64(base + i*8); got != want+i {
-							t.Fatalf("crashAt=%d: %s span torn: word %d = %d, want %d",
-								crashAt, name, i, got, want+i)
-						}
-					}
-				}
-				check("t1", d1, 10, 110, committed1, false)
-				check("t2", d2, 30, 130, false, true) // never committed
-
-				// The recovered manager must be fully usable, spans included.
-				nt := tm2.Begin()
-				if err := nt.WriteBytes(d1, span(210)); err != nil {
-					t.Fatalf("crashAt=%d: post-recovery span write: %v", crashAt, err)
-				}
-				if err := nt.Commit(); err != nil {
-					t.Fatalf("crashAt=%d: post-recovery commit: %v", crashAt, err)
-				}
-				if !crashed {
-					return
-				}
-			}
-		})
-	}
-}
-
-// TestSpanDoubleCrashDuringRecovery crashes recovery of a torn span state
-// at increasing depths and verifies convergence (span CLR redo included).
-func TestSpanDoubleCrashDuringRecovery(t *testing.T) {
-	for _, cfg := range spanConfigs() {
-		t.Run(cfg.String(), func(t *testing.T) {
-			m := nvm.New(nvm.Config{Size: 16 << 20, TrackPersistence: true})
-			a := pmem.Format(m)
-			tm, err := New(a, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data := dataBlock(a, 6, 10)
-			m.SetCrashAfter(20)
-			m.RunToCrash(func() {
-				x := tm.Begin()
-				vals := []uint64{110, 111, 112, 113, 114, 115}
-				if err := x.WriteBytes(data, bytesImage(vals)); err != nil {
-					t.Error(err)
-				}
-				x.Commit()
-			})
-			for depth := 1; depth <= 40; depth += 7 {
-				m.SetCrashAfter(depth)
-				m.RunToCrash(func() {
-					a2, err := pmem.Open(m)
-					if err != nil {
-						t.Fatal(err)
-					}
-					Open(a2, cfg) //nolint:errcheck // crash expected mid-way
-				})
-			}
-			m.SetCrashAfter(0)
-			a3, err := pmem.Open(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := Open(a3, cfg); err != nil {
-				t.Fatal(err)
-			}
-			first := m.Load64(data)
-			want := uint64(10)
-			if first == 110 {
-				want = 110
-			}
-			for i := uint64(0); i < 6; i++ {
-				if got := m.Load64(data + i*8); got != want+i {
-					t.Fatalf("span torn after repeated recovery crashes: word %d = %d", i, got)
-				}
-			}
-		})
 	}
 }

@@ -2,6 +2,7 @@ package nvm
 
 import (
 	"errors"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -36,8 +37,11 @@ func (m *Memory) SetCrashAfter(n int) {
 	m.crashCountdown.Store(int64(n))
 }
 
-// CrashArmed reports whether crash injection is currently armed.
-func (m *Memory) CrashArmed() bool { return m.crashCountdown.Load() > 0 }
+// CrashCountdown returns what is left of an armed injection's count: the
+// injection fires before the CrashCountdown()-th next durable operation, and
+// 0 means disarmed. Arming a count larger than a run needs and reading it
+// back afterwards measures how many durable operations the run issued.
+func (m *Memory) CrashCountdown() int { return int(m.crashCountdown.Load()) }
 
 func (m *Memory) maybeCrash() {
 	if m.crashCountdown.Load() <= 0 {
@@ -52,24 +56,23 @@ func (m *Memory) maybeCrash() {
 // discarded and the arena reverts to its durable image. Volatile bookkeeping
 // (dirty bits, coalescing window, injection) is reset. Callers then run
 // recovery against the surviving state.
+//
+// Only a dirty line can differ from the durable image — every other writer
+// (StoreNT64, PunchHole, LoadImage, a flush) updates both views — so the
+// revert walks the dirty bitmap and touches those lines alone, not the arena.
 func (m *Memory) Crash() error {
 	p := m.persistWords()
 	if p == nil {
 		return ErrNoPersistence
 	}
 	m.crashCountdown.Store(0)
-	n := len(m.words)
-	if len(p) < n {
-		n = len(p) // beyond the durable view nothing was ever stored
-	}
-	for i := 0; i < n; i++ {
-		atomic.StoreUint64(&m.words[i], atomic.LoadUint64(&p[i]))
-	}
-	for i := n; i < len(m.words); i++ {
-		atomic.StoreUint64(&m.words[i], 0)
-	}
-	for i := range m.dirty {
-		atomic.StoreUint64(&m.dirty[i], 0)
+	for bi := range m.dirty {
+		for set := atomic.SwapUint64(&m.dirty[bi], 0); set != 0; set &= set - 1 {
+			base := (uint64(bi)*64 + uint64(bits.TrailingZeros64(set))) * WordsPerLine
+			for w := base; w < base+WordsPerLine; w++ {
+				atomic.StoreUint64(&m.words[w], atomic.LoadUint64(&p[w]))
+			}
+		}
 	}
 	m.dirtyLines.Store(0)
 	m.ntLine.Store(0)

@@ -276,13 +276,15 @@ func TestCrashInjectionFiresAtNthDurableOp(t *testing.T) {
 
 func TestCrashInjectionDisarm(t *testing.T) {
 	m := newTracked(t)
-	m.SetCrashAfter(1)
-	if !m.CrashArmed() {
-		t.Fatal("not armed")
+	m.SetCrashAfter(5)
+	m.StoreNT64(8, 1)
+	m.Fence()
+	if got := m.CrashCountdown(); got != 3 {
+		t.Fatalf("countdown %d after two durable ops of 5, want 3", got)
 	}
 	m.SetCrashAfter(0)
-	if m.CrashArmed() {
-		t.Fatal("still armed after disarm")
+	if got := m.CrashCountdown(); got != 0 {
+		t.Fatalf("countdown %d after disarm, want 0", got)
 	}
 	if crashed := m.RunToCrash(func() { m.StoreNT64(8, 1) }); crashed {
 		t.Fatal("disarmed injection fired")

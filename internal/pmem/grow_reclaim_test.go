@@ -43,63 +43,6 @@ func TestFirstFitSplit(t *testing.T) {
 	}
 }
 
-// TestSplitCrashMatrixNoDoubleServe arms a crash before every durable
-// operation inside a first-fit split and checks that no torn state can
-// ever double-serve bytes: after recovery (reopen over the same arena),
-// the heap walk parses, lists are consistent, and fresh allocations never
-// overlap a block that was already handed out.
-func TestSplitCrashMatrixNoDoubleServe(t *testing.T) {
-	for n := 1; ; n++ {
-		m := nvm.New(nvm.Config{Size: 4 << 20, TrackPersistence: true})
-		a := Format(m)
-		big := a.Alloc(20 << 10)
-		a.Free(big)
-		m.SetCrashAfter(n)
-		var served uint64
-		crashed := m.RunToCrash(func() {
-			served = a.Alloc(17 << 10)
-		})
-		m.SetCrashAfter(0)
-		if !crashed {
-			if n == 1 {
-				t.Fatal("no durable ops inside the split")
-			}
-			return
-		}
-		// Recovery: reopen the allocator over the reverted arena.
-		a2, err := Open(m)
-		if err != nil {
-			t.Fatalf("crash point %d: reopen: %v", n, err)
-		}
-		if err := a2.CheckHeap(); err != nil {
-			t.Fatalf("crash point %d: %v", n, err)
-		}
-		// Allocate the heap dry; no two blocks (nor the possibly-served
-		// pre-crash block) may overlap.
-		type blk struct{ lo, hi uint64 }
-		var blocks []blk
-		if served != 0 {
-			blocks = append(blocks, blk{served, served + uint64(a2.BlockSize(served))})
-		}
-		for {
-			addr, err := a2.TryAlloc(4 << 10)
-			if err != nil {
-				break
-			}
-			nb := blk{addr, addr + uint64(a2.BlockSize(addr))}
-			for _, b := range blocks {
-				if nb.lo < b.hi && nb.hi > b.lo {
-					t.Fatalf("crash point %d: block [%#x,%#x) overlaps [%#x,%#x)", n, nb.lo, nb.hi, b.lo, b.hi)
-				}
-			}
-			blocks = append(blocks, nb)
-		}
-		if n > 100 {
-			t.Fatal("sweep did not terminate")
-		}
-	}
-}
-
 // TestGrowOnExhaustion: with a growth policy set, TryAlloc grows the arena
 // instead of failing, and only reports ErrOutOfMemory at the cap.
 func TestGrowOnExhaustion(t *testing.T) {
@@ -212,46 +155,6 @@ func TestReclaimMergesAndServes(t *testing.T) {
 	}
 	if err := a.CheckHeap(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestReclaimCrashSweep: crash before every durable op inside Reclaim;
-// every torn state must reopen into a consistent heap with no double-serve
-// possible.
-func TestReclaimCrashSweep(t *testing.T) {
-	for n := 1; ; n++ {
-		m := nvm.New(nvm.Config{Size: 4 << 20, TrackPersistence: true})
-		a := Format(m)
-		var addrs []uint64
-		for i := 0; i < 16; i++ {
-			addrs = append(addrs, a.Alloc(4000))
-		}
-		for _, addr := range addrs {
-			a.Free(addr)
-		}
-		m.SetCrashAfter(n)
-		crashed := m.RunToCrash(func() {
-			if _, err := a.Reclaim(HeapBase, uint64(HeapBase+a.HeapUsed())); err != nil {
-				t.Fatal(err)
-			}
-		})
-		m.SetCrashAfter(0)
-		if !crashed {
-			if n == 1 {
-				t.Fatal("no durable ops inside Reclaim")
-			}
-			return
-		}
-		a2, err := Open(m)
-		if err != nil {
-			t.Fatalf("crash point %d: reopen: %v", n, err)
-		}
-		if err := a2.CheckHeap(); err != nil {
-			t.Fatalf("crash point %d: %v", n, err)
-		}
-		if n > 300 {
-			t.Fatal("sweep did not terminate")
-		}
 	}
 }
 

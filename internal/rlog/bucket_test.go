@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/rewind-db/rewind/internal/crashtest"
 	"github.com/rewind-db/rewind/internal/nvm"
 	"github.com/rewind-db/rewind/internal/pmem"
 )
@@ -213,49 +214,55 @@ func bucketScript(l *Log, a *pmem.Allocator, md *logModel) {
 // then it appends enough to roll a bucket and checks that no surviving
 // record was overwritten and the heap is sound.
 func TestBucketRecordsCrashMatrix(t *testing.T) {
-	for crashAt := 1; ; crashAt += crashStride() {
-		m, a := smallEnv()
-		l := New(a, bucketCfg)
-		md := newLogModel()
-		m.SetCrashAfter(crashAt)
-		crashed := m.RunToCrash(func() { bucketScript(l, a, md) })
-		m.SetCrashAfter(0)
-		a2, err := pmem.Open(m)
-		if err != nil {
-			t.Fatalf("crashAt=%d: pmem.Open: %v", crashAt, err)
-		}
-		l2, err := Open(a2, bucketCfg)
-		if err != nil {
-			t.Fatalf("crashAt=%d: Open: %v", crashAt, err)
-		}
-		if err := md.check(l2); err != nil {
-			t.Fatalf("crashAt=%d: after recovery: %v", crashAt, err)
-		}
-		// Whatever survived is durable now and must outlive new appends;
-		// the rest is gone for good.
-		for lsn := range md.appended {
-			md.cleared[lsn] = true
-		}
-		for _, lsn := range collectLSNs(l2, false) {
-			md.durable[lsn], md.cleared[lsn] = true, false
-		}
-		for i := 0; i < 6; i++ {
-			md.append(l2, i%3, 5, false)
-		}
-		md.flushed(l2.ForceFlush())
-		if err := md.check(l2); err != nil {
-			t.Fatalf("crashAt=%d: after appending to the recovered log: %v", crashAt, err)
-		}
-		if err := a2.CheckHeap(); err != nil {
-			t.Fatalf("crashAt=%d: %v", crashAt, err)
-		}
-		if !crashed {
-			if crashAt < 100 {
-				t.Fatalf("script ran only %d durable operations", crashAt)
+	n := crashtest.Explore(t, crashtest.Case[*Log]{
+		Setup: func() (*nvm.Memory, error) {
+			m, a := smallEnv()
+			New(a, bucketCfg)
+			return m, nil
+		},
+		Open: func(m *nvm.Memory) (*Log, error) {
+			a, err := pmem.Open(m)
+			if err != nil {
+				return nil, err
 			}
-			return
-		}
+			return Open(a, bucketCfg)
+		},
+		Model: func() crashtest.Model[*Log] { return &bucketRun{newLogModel()} },
+	})
+	if n < 99 {
+		t.Fatalf("script ran only %d durable operations", n)
 	}
+}
+
+type bucketRun struct{ md *logModel }
+
+func (r *bucketRun) Run(l *Log, arm func()) error {
+	arm()
+	bucketScript(l, l.a, r.md)
+	return nil
+}
+
+func (r *bucketRun) Check(l *Log, crashed bool) error {
+	md := r.md
+	if err := md.check(l); err != nil {
+		return fmt.Errorf("after recovery: %v", err)
+	}
+	// Whatever survived is durable now and must outlive new appends; the
+	// rest is gone for good.
+	for lsn := range md.appended {
+		md.cleared[lsn] = true
+	}
+	for _, lsn := range collectLSNs(l, false) {
+		md.durable[lsn], md.cleared[lsn] = true, false
+	}
+	for i := 0; i < 6; i++ {
+		md.append(l, i%3, 5, false)
+	}
+	md.flushed(l.ForceFlush())
+	if err := md.check(l); err != nil {
+		return fmt.Errorf("after appending to the recovered log: %v", err)
+	}
+	return l.a.CheckHeap()
 }
 
 // linkParentBucket links a bucket laid out as the parent commit did: index,
@@ -429,86 +436,75 @@ func TestAppendDuringClearScan(t *testing.T) {
 func TestClearScanTombstonesEndLast(t *testing.T) {
 	cfg := Config{Kind: Batch, BucketSize: 16, GroupSize: 8, RootSlot: testSlot}
 	const txns, stamp = 9, 3*9 + 1 // the stamp's LSN: two updates and an END each go before it
-	for at := uint64(1); at < stamp; at += uint64(crashStride()) {
-		for crashAt := 1; ; crashAt++ {
-			m, a := smallEnv()
-			l := New(a, cfg)
-			lsn := uint64(0)
-			add := func(txn uint64, typ Type, end bool) {
+	add := func(l *Log, lsn, txn uint64, typ Type, end bool) {
+		l.AppendFields(Fields{LSN: lsn, Txn: txn, Type: typ, Flags: FlagUndoable, Addr: 0x4000 + lsn*8}, end)
+	}
+	setup := func(l *Log) {
+		lsn := uint64(0)
+		for txn := uint64(1); txn <= txns+2; txn++ {
+			if txn <= txns {
 				lsn++
-				l.AppendFields(Fields{LSN: lsn, Txn: txn, Type: typ, Flags: FlagUndoable, Addr: 0x4000 + lsn*8}, end)
+				add(l, lsn, txn, TypeUpdate, false)
+				lsn++
+				add(l, lsn, txn, TypeUpdate, false)
 			}
-			for txn := uint64(1); txn <= txns+2; txn++ {
-				if txn <= txns {
-					add(txn, TypeUpdate, false)
-					add(txn, TypeUpdate, false)
-				}
-				if txn > 2 {
-					add(txn-2, TypeEnd, true)
-				}
-			}
-			add(0, TypeCheckpoint, false)
-			l.ForceFlush()
-			if lsn != stamp || l.Buckets() != 2 {
-				t.Fatalf("stamp at lsn %d in %d buckets: the scenario wants %d, one closed bucket and the tail", lsn, l.Buckets(), stamp)
-			}
-
-			interleaved := false
-			m.SetCrashAfter(crashAt)
-			crashed := m.RunToCrash(func() {
-				l.ClearScan(false, func(r Record) ClearAction {
-					if r.LSN() == at && l.mu.TryLock() {
-						l.mu.Unlock()
-						interleaved = true
-						add(100, TypeUpdate, false)
-						add(100, TypeEnd, true)
-					}
-					if r.LSN() >= stamp {
-						return Keep
-					}
-					return RemoveFree
-				})
-			})
-			m.SetCrashAfter(0)
-			if !crashed {
-				if closed := at <= uint64(cfg.BucketSize); interleaved != closed {
-					t.Fatalf("at=%d: append during the pass = %v; closed buckets are cleared without the mutex, the tail under it", at, interleaved)
-				}
-				if err := m.Crash(); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			a2, err := pmem.Open(m)
-			if err != nil {
-				t.Fatalf("at=%d crashAt=%d: pmem.Open: %v", at, crashAt, err)
-			}
-			l2, err := Open(a2, cfg)
-			if err != nil {
-				t.Fatalf("at=%d crashAt=%d: Open: %v", at, crashAt, err)
-			}
-			updates, ended := map[uint64]int{}, map[uint64]bool{}
-			it := l2.Begin()
-			for it.Next() {
-				if r := it.Record(); r.Type() == TypeEnd {
-					ended[r.Txn()] = true
-				} else {
-					updates[r.Txn()]++
-				}
-			}
-			it.Close()
-			for txn := uint64(1); txn <= txns; txn++ {
-				if updates[txn] > 0 && !ended[txn] {
-					t.Fatalf("at=%d crashAt=%d: finished txn %d keeps %d updates without its END: recovery would undo a committed transaction", at, crashAt, txn, updates[txn])
-				}
-				if !crashed && (updates[txn] > 0 || ended[txn]) {
-					t.Fatalf("at=%d: the completed pass left records of finished txn %d", at, txn)
-				}
-			}
-			if !crashed {
-				break
+			if txn > 2 {
+				lsn++
+				add(l, lsn, txn-2, TypeEnd, true)
 			}
 		}
+		add(l, stamp, 0, TypeCheckpoint, false)
+		l.ForceFlush()
+		if l.Buckets() != 2 {
+			t.Fatalf("stamp in %d buckets: the scenario wants one closed bucket and the tail", l.Buckets())
+		}
+	}
+	for at := uint64(1); at < stamp; at++ {
+		crashtest.Explore(t, logCase(cfg, setup, func() crashtest.Model[*Log] {
+			interleaved := false
+			return crashtest.Funcs[*Log]{
+				Workload: func(l *Log, arm func()) error {
+					arm()
+					l.ClearScan(false, func(r Record) ClearAction {
+						if r.LSN() == at && l.mu.TryLock() {
+							l.mu.Unlock()
+							interleaved = true
+							add(l, stamp+1, 100, TypeUpdate, false)
+							add(l, stamp+2, 100, TypeEnd, true)
+						}
+						if r.LSN() >= stamp {
+							return Keep
+						}
+						return RemoveFree
+					})
+					return nil
+				},
+				Verify: func(l *Log, crashed bool) error {
+					if closed := at <= uint64(cfg.BucketSize); !crashed && interleaved != closed {
+						return fmt.Errorf("at=%d: append during the pass = %v; closed buckets are cleared without the mutex, the tail under it", at, interleaved)
+					}
+					updates, ended := map[uint64]int{}, map[uint64]bool{}
+					it := l.Begin()
+					for it.Next() {
+						if r := it.Record(); r.Type() == TypeEnd {
+							ended[r.Txn()] = true
+						} else {
+							updates[r.Txn()]++
+						}
+					}
+					it.Close()
+					for txn := uint64(1); txn <= txns; txn++ {
+						if updates[txn] > 0 && !ended[txn] {
+							return fmt.Errorf("at=%d: finished txn %d keeps %d updates without its END: recovery would undo a committed transaction", at, txn, updates[txn])
+						}
+						if !crashed && (updates[txn] > 0 || ended[txn]) {
+							return fmt.Errorf("at=%d: the completed pass left records of finished txn %d", at, txn)
+						}
+					}
+					return nil
+				},
+			}
+		}))
 	}
 }
 

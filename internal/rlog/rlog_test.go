@@ -1,10 +1,12 @@
 package rlog
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"github.com/rewind-db/rewind/internal/crashtest"
 	"github.com/rewind-db/rewind/internal/nvm"
 	"github.com/rewind-db/rewind/internal/pmem"
 )
@@ -373,6 +375,33 @@ func TestOpenRejectsMismatchedConfig(t *testing.T) {
 	}
 }
 
+// logCase is a crash case over one log made with cfg: setup fills it once,
+// and every run reopens it with pmem.Open and Open.
+func logCase(cfg Config, setup func(*Log), model func() crashtest.Model[*Log]) crashtest.Case[*Log] {
+	return crashtest.Case[*Log]{
+		Setup: func() (*nvm.Memory, error) {
+			m, a := smallEnv()
+			setup(New(a, cfg))
+			return m, nil
+		},
+		Open: func(m *nvm.Memory) (*Log, error) {
+			a, err := pmem.Open(m)
+			if err != nil {
+				return nil, err
+			}
+			return Open(a, cfg)
+		},
+		Model: model,
+	}
+}
+
+// appendN appends records lsn from..to, each in a block of its own.
+func appendN(l *Log, from, to uint64) {
+	for i := from; i <= to; i++ {
+		l.Append(makeRecord(l.a, i).Addr, false)
+	}
+}
+
 // TestCrashAtEveryPointDuringAppends is the core §3.2 recoverability check:
 // a crash is injected before every successive durable operation while
 // records are appended; after recovery the log must be a prefix of the
@@ -381,39 +410,29 @@ func TestOpenRejectsMismatchedConfig(t *testing.T) {
 func TestCrashAtEveryPointDuringAppends(t *testing.T) {
 	for _, kind := range []Kind{Simple, Optimized} {
 		t.Run(kind.String(), func(t *testing.T) {
-			for crashAt := 1; ; crashAt += crashStride() {
-				m, a := newEnv(t)
-				l := New(a, Config{Kind: kind, BucketSize: 4, GroupSize: 2, RootSlot: testSlot})
-				m.SetCrashAfter(crashAt)
-				crashed := m.RunToCrash(func() {
-					for i := uint64(1); i <= 10; i++ {
-						l.Append(makeRecord(a, i).Addr, false)
-					}
-				})
-				m.SetCrashAfter(0)
-				l2, err := Open(a, Config{Kind: kind, BucketSize: 4, GroupSize: 2, RootSlot: testSlot})
-				if err != nil {
-					t.Fatalf("crashAt=%d: Open: %v", crashAt, err)
+			cfg := Config{Kind: kind, BucketSize: 4, GroupSize: 2, RootSlot: testSlot}
+			crashtest.Explore(t, logCase(cfg, func(*Log) {}, func() crashtest.Model[*Log] {
+				return crashtest.Funcs[*Log]{
+					Workload: func(l *Log, arm func()) error { arm(); appendN(l, 1, 10); return nil },
+					Verify: func(l *Log, crashed bool) error {
+						got := collectLSNs(l, false)
+						for i, lsn := range got {
+							if lsn != uint64(i+1) || (!crashed && len(got) != 10) {
+								return fmt.Errorf("log not the appended prefix: %v", got)
+							}
+						}
+						if back := collectLSNs(l, true); len(back) != len(got) {
+							return fmt.Errorf("forward %d vs backward %d records", len(got), len(back))
+						}
+						// The recovered log must accept new appends.
+						appendN(l, 100, 100)
+						if n := len(collectLSNs(l, false)); n != len(got)+1 {
+							return fmt.Errorf("append after recovery failed")
+						}
+						return nil
+					},
 				}
-				got := collectLSNs(l2, false)
-				for i, lsn := range got {
-					if lsn != uint64(i+1) {
-						t.Fatalf("crashAt=%d: log not a prefix: %v", crashAt, got)
-					}
-				}
-				back := collectLSNs(l2, true)
-				if len(back) != len(got) {
-					t.Fatalf("crashAt=%d: forward %d vs backward %d records", crashAt, len(got), len(back))
-				}
-				// Recovered log must accept new appends.
-				l2.Append(makeRecord(a, 100).Addr, false)
-				if n := len(collectLSNs(l2, false)); n != len(got)+1 {
-					t.Fatalf("crashAt=%d: append after recovery failed", crashAt)
-				}
-				if !crashed {
-					return // ran to completion: all crash points covered
-				}
-			}
+			}))
 		})
 	}
 }
@@ -424,47 +443,38 @@ func TestCrashAtEveryPointDuringAppends(t *testing.T) {
 func TestCrashAtEveryPointDuringClear(t *testing.T) {
 	for _, kind := range []Kind{Simple, Optimized} {
 		t.Run(kind.String(), func(t *testing.T) {
-			for crashAt := 1; ; crashAt += crashStride() {
-				m, a := newEnv(t)
-				l := New(a, Config{Kind: kind, BucketSize: 4, GroupSize: 2, RootSlot: testSlot})
-				for i := uint64(1); i <= 12; i++ {
-					l.Append(makeRecord(a, i).Addr, false)
-				}
-				m.SetCrashAfter(crashAt)
-				crashed := m.RunToCrash(func() {
-					l.ClearScan(true, func(r Record) ClearAction {
-						if r.LSN()%3 == 0 {
-							return RemoveFree
+			cfg := Config{Kind: kind, BucketSize: 4, GroupSize: 2, RootSlot: testSlot}
+			crashtest.Explore(t, logCase(cfg, func(l *Log) { appendN(l, 1, 12) }, func() crashtest.Model[*Log] {
+				return crashtest.Funcs[*Log]{
+					Workload: func(l *Log, arm func()) error {
+						arm()
+						l.ClearScan(true, func(r Record) ClearAction {
+							if r.LSN()%3 == 0 {
+								return RemoveFree
+							}
+							return Keep
+						})
+						return nil
+					},
+					Verify: func(l *Log, crashed bool) error {
+						got := collectLSNs(l, false)
+						seen := map[uint64]bool{}
+						for i, lsn := range got {
+							if lsn < 1 || lsn > 12 || seen[lsn] || (i > 0 && got[i-1] >= lsn) {
+								return fmt.Errorf("corrupted or misordered record set %v", got)
+							}
+							seen[lsn] = true
 						}
-						return Keep
-					})
-				})
-				m.SetCrashAfter(0)
-				l2, err := Open(a, Config{Kind: kind, BucketSize: 4, GroupSize: 2, RootSlot: testSlot})
-				if err != nil {
-					t.Fatalf("crashAt=%d: Open: %v", crashAt, err)
+						// Records not targeted by the clear must survive.
+						for lsn := uint64(1); lsn <= 12; lsn++ {
+							if lsn%3 != 0 && !seen[lsn] {
+								return fmt.Errorf("kept record %d lost (%v)", lsn, got)
+							}
+						}
+						return nil
+					},
 				}
-				got := collectLSNs(l2, false)
-				seen := map[uint64]bool{}
-				for i, lsn := range got {
-					if lsn < 1 || lsn > 12 || seen[lsn] {
-						t.Fatalf("crashAt=%d: corrupted record set %v", crashAt, got)
-					}
-					seen[lsn] = true
-					if i > 0 && got[i-1] >= lsn {
-						t.Fatalf("crashAt=%d: order violated %v", crashAt, got)
-					}
-					// Records not targeted by the clear must survive.
-				}
-				for lsn := uint64(1); lsn <= 12; lsn++ {
-					if lsn%3 != 0 && !seen[lsn] {
-						t.Fatalf("crashAt=%d: kept record %d lost (%v)", crashAt, lsn, got)
-					}
-				}
-				if !crashed {
-					return
-				}
-			}
+			}))
 		})
 	}
 }
@@ -473,27 +483,18 @@ func TestCrashAtEveryPointDuringClear(t *testing.T) {
 // after a crash the root points either to the fully intact old log or to
 // the fresh empty one.
 func TestCrashAtEveryPointDuringReset(t *testing.T) {
-	for crashAt := 1; ; crashAt += crashStride() {
-		m, a := newEnv(t)
-		l := New(a, Config{Kind: Optimized, BucketSize: 4, RootSlot: testSlot})
-		for i := uint64(1); i <= 10; i++ {
-			l.Append(makeRecord(a, i).Addr, false)
+	cfg := Config{Kind: Optimized, BucketSize: 4, RootSlot: testSlot}
+	crashtest.Explore(t, logCase(cfg, func(l *Log) { appendN(l, 1, 10) }, func() crashtest.Model[*Log] {
+		return crashtest.Funcs[*Log]{
+			Workload: func(l *Log, arm func()) error { arm(); l.Reset(true); return nil },
+			Verify: func(l *Log, crashed bool) error {
+				if got := collectLSNs(l, false); len(got) != 0 && len(got) != 10 {
+					return fmt.Errorf("reset not atomic: %d records survive", len(got))
+				}
+				return nil
+			},
 		}
-		m.SetCrashAfter(crashAt)
-		crashed := m.RunToCrash(func() { l.Reset(true) })
-		m.SetCrashAfter(0)
-		l2, err := Open(a, Config{Kind: Optimized, BucketSize: 4, RootSlot: testSlot})
-		if err != nil {
-			t.Fatalf("crashAt=%d: Open: %v", crashAt, err)
-		}
-		got := collectLSNs(l2, false)
-		if len(got) != 0 && len(got) != 10 {
-			t.Fatalf("crashAt=%d: reset not atomic: %d records survive", crashAt, len(got))
-		}
-		if !crashed {
-			return
-		}
-	}
+	}))
 }
 
 func TestConcurrentAppends(t *testing.T) {
@@ -659,14 +660,4 @@ func BenchmarkAppend(b *testing.B) {
 			}
 		})
 	}
-}
-
-// crashStride spaces the injected crash points of the crash matrices:
-// every durable operation in normal runs, a sample of them under -short
-// (the matrices dominate the package's test time).
-func crashStride() int {
-	if testing.Short() {
-		return 5
-	}
-	return 1
 }

@@ -2,9 +2,11 @@ package kv
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"github.com/rewind-db/rewind"
+	"github.com/rewind-db/rewind/internal/crashtest"
 )
 
 // TestGrowUnderLoad is the growth gate CI runs in -short: a store created
@@ -59,120 +61,95 @@ func TestGrowUnderLoad(t *testing.T) {
 	}
 }
 
+// growArena is TestGrowCrashMatrix's initial arena: small, so the store a
+// run starts from holds only a few hundred keys.
+const growArena = 256 << 10
+
 // TestGrowCrashMatrix sweeps injected crashes through the window of puts
 // that spans the first arena growth, in both commit modes. Each put must
 // be all-or-none across the crash, the recovered store must retain the
 // grown extents it durably added, and the heap must stay walkable.
 func TestGrowCrashMatrix(t *testing.T) {
-	// Strided under -short so CI's -race job sweeps a subset of the
-	// crash points; the full matrix runs in the plain suite.
-	stride := 23
-	if testing.Short() {
-		stride = 211
-	}
-	const initial = 2 << 20
-	opts := func(mode rewind.CommitMode) rewind.Options {
-		return rewind.Options{
-			ArenaSize:  initial,
-			MaxArena:   16 << 20,
-			GrowStep:   1 << 20,
-			CommitMode: mode,
-		}
-	}
+	const ckptEvery = 16
 	for _, mode := range []rewind.CommitMode{rewind.UndoRedo, rewind.RedoOnly} {
-		// Dry run: count how many puts it takes to trigger the first
-		// growth. Allocation is deterministic, so every matrix iteration
-		// below replays the same sequence and grows at the same put.
-		st, err := rewind.Open(opts(mode))
+		opts := rewind.Options{ArenaSize: growArena, MaxArena: 4 * growArena, GrowStep: growArena, CommitMode: mode}
+		cfg := Config{Stripes: 2, MaxValue: 64}
+		// fill puts keys from+1..to, checkpointing after every ckptEvery-th
+		// key, so the store a run starts from keeps no long log whose
+		// recovery would dominate the run.
+		fill := func(s *Store, from, to uint64) error {
+			for k := from + 1; k <= to; k++ {
+				if err := s.Put(k, val64(k)); err != nil {
+					return err
+				}
+				if k%ckptEvery == 0 {
+					s.Rewind().Checkpoint()
+				}
+			}
+			return nil
+		}
+		// Dry run: how many puts of that shape trigger the first growth.
+		// Allocation is deterministic, so every run below replays it.
+		st, err := rewind.Open(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := Create(st, Config{Stripes: 2, MaxValue: 64})
+		s, err := Create(st, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var nGrow uint64
-		for k := uint64(1); ; k++ {
-			if err := s.Put(k, val64(k)); err != nil {
+		for nGrow = 0; st.Mem().Size() == growArena; nGrow++ {
+			if err := fill(s, nGrow, nGrow+1); err != nil {
 				t.Fatal(err)
-			}
-			if st.Mem().Size() > initial {
-				nGrow = k
-				break
 			}
 		}
 		st.Close()
-		if nGrow < 16 {
+		if nGrow < 64 {
 			t.Fatalf("mode %v: growth after only %d puts; arena too small for a meaningful prefix", mode, nGrow)
 		}
-		prefix := nGrow - 8 // last uninjected put; the crash window spans the growth
 		t.Logf("mode %v: first growth at put %d", mode, nGrow)
+		// The window opens 8 puts ahead of the growth and ends 16 puts past
+		// it. It checkpoints nothing, so the log only grows and the arena
+		// grows inside it, at put nGrow or before.
+		from := nGrow - 8
+		crashtest.Explore(t, crashCase(opts, cfg, func(s *Store) error { return fill(s, 0, from) },
+			func() crashtest.Model[*Store] { return &growRun{from: from, last: nGrow + 16} }))
+	}
+}
 
-		for crashAt := 1; ; crashAt += stride {
-			st, err := rewind.Open(opts(mode))
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := Create(st, Config{Stripes: 2, MaxValue: 64})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k := uint64(1); k <= prefix; k++ {
-				if err := s.Put(k, val64(k)); err != nil {
-					t.Fatalf("mode %v: prefix fill failed at %d: %v", mode, k, err)
-				}
-			}
-			acked := prefix
-			st.Mem().SetCrashAfter(crashAt)
-			crashed := st.Mem().RunToCrash(func() {
-				for k := prefix + 1; k <= nGrow+16; k++ {
-					if err := s.Put(k, val64(k)); err != nil {
-						return
-					}
-					acked = k
-				}
-			})
-			st.Mem().SetCrashAfter(0)
+type growRun struct {
+	md         crashtest.KVModel
+	from, last uint64
+}
 
-			st2, err := rewind.Reattach(st.Options(), st.Mem())
-			if err != nil {
-				t.Fatalf("mode %v crashAt=%d: %v", mode, crashAt, err)
-			}
-			s2, err := Attach(st2, Config{Stripes: 2, MaxValue: 64})
-			if err != nil {
-				t.Fatalf("mode %v crashAt=%d: %v", mode, crashAt, err)
-			}
-			// Every acked put is durable; the single in-flight put may have
-			// committed or not (all-or-none); nothing beyond it may exist.
-			for k := uint64(1); k <= acked; k++ {
-				v, ok := s2.Get(k)
-				if !ok || !bytes.Equal(v, val64(k)) {
-					t.Fatalf("mode %v crashAt=%d: acked key %d lost or corrupted", mode, crashAt, k)
-				}
-			}
-			if v, ok := s2.Get(acked + 1); ok && !bytes.Equal(v, val64(acked+1)) {
-				t.Fatalf("mode %v crashAt=%d: in-flight key %d torn", mode, crashAt, acked+1)
-			}
-			for k := acked + 2; k <= nGrow+16; k++ {
-				if _, ok := s2.Get(k); ok {
-					t.Fatalf("mode %v crashAt=%d: unattempted key %d present", mode, crashAt, k)
-				}
-			}
-			if sz := st2.Mem().Size(); sz < initial {
-				t.Fatalf("mode %v crashAt=%d: arena shrank to %d", mode, crashAt, sz)
-			}
-			if err := s2.CheckInvariants(); err != nil {
-				t.Fatalf("mode %v crashAt=%d: %v", mode, crashAt, err)
-			}
-			if err := st2.Allocator().CheckHeap(); err != nil {
-				t.Fatalf("mode %v crashAt=%d: %v", mode, crashAt, err)
-			}
-			if !crashed {
-				if st2.Mem().Size() <= initial {
-					t.Fatalf("mode %v: full window ran but arena never grew", mode)
-				}
-				break
-			}
+func (r *growRun) Run(s *Store, arm func()) error {
+	for k := uint64(1); k <= r.last; k++ {
+		r.md.Plan(crashtest.Put(k, val64(k)))
+	}
+	r.md.Issued, r.md.Acked = int(r.from), int(r.from) // by Setup
+	if sz := s.Rewind().Mem().Size(); sz != growArena {
+		return fmt.Errorf("the arena grew to %d before the window", sz)
+	}
+	arm()
+	for r.md.Issued < len(r.md.Ops) {
+		if err := r.md.Send(apply(s)); err != nil {
+			return err
 		}
 	}
+	return nil
+}
+
+func (r *growRun) Check(s *Store, crashed bool) error {
+	st := s.Rewind()
+	if sz := st.Mem().Size(); sz < growArena {
+		return fmt.Errorf("arena shrank to %d", sz)
+	}
+	if !crashed && st.Mem().Size() <= growArena {
+		return fmt.Errorf("full window ran but arena never grew")
+	}
+	if err := st.Allocator().CheckHeap(); err != nil {
+		return err
+	}
+	return r.md.Check(s)
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/rewind-db/rewind"
+	"github.com/rewind-db/rewind/internal/crashtest"
 )
 
 // Tests of the record rule (package comment): a write stores and logs
@@ -170,18 +171,16 @@ func TestOverwriteLengthChangeCrashMatrix(t *testing.T) {
 			for _, rollback := range []bool{false, true} {
 				name := fmt.Sprintf("mode%v/%dB-to-%dB/rollback=%v", mode, len(values[step-1]), len(values[step]), rollback)
 				t.Run(name, func(t *testing.T) {
-					const maxPoints = 5000
-					points := 0
-					for done := false; !done; points++ {
-						if points == maxPoints {
-							t.Fatalf("still crashing after %d injection points", maxPoints)
-						}
-						done = runLengthChangeCrashPoint(t, mode, values, step, rollback, points+1)
-					}
+					n := crashtest.Explore(t, crashCase(rewind.Options{
+						ArenaSize: 2 << 20, GroupCommit: true, GroupCommitWindow: 0, GroupCommitMax: 1,
+						CommitMode: mode,
+					}, Config{Stripes: 1, MaxValue: 400}, nil, func() crashtest.Model[*Store] {
+						return &lengthRun{values: values[:step+1], rollback: rollback}
+					}))
 					// A redo-only rollback drops a private buffer: no durable
 					// operation to crash before, by design.
-					if points < 3 && !(rollback && mode == rewind.RedoOnly) {
-						t.Fatalf("only %d crash points before the step completed; injection is not covering it", points)
+					if n < 2 && !(rollback && mode == rewind.RedoOnly) {
+						t.Fatalf("only %d durable operations in the step; injection is not covering it", n)
 					}
 				})
 			}
@@ -191,101 +190,54 @@ func TestOverwriteLengthChangeCrashMatrix(t *testing.T) {
 
 var errProbeRollback = errors.New("probe: roll back")
 
-func runLengthChangeCrashPoint(t *testing.T, mode rewind.CommitMode, values [][]byte, step int, rollback bool, point int) (survived bool) {
-	t.Helper()
-	cfg := Config{Stripes: 1, MaxValue: 400}
-	// A small arena: the matrix builds some 400 stores, and under the race
-	// detector each one's footprint stays resident until the test ends.
-	st, err := rewind.Open(rewind.Options{
-		ArenaSize: 2 << 20, GroupCommit: true, GroupCommitWindow: 0, GroupCommitMax: 1,
-		CommitMode: mode,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Create(st, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Neighbours on both sides of the probed slot: a write that ran past its
-	// record would land in theirs.
+// lengthRun writes the acked history values[:len-1] of the probed key, with
+// neighbours on both sides of its slot — a write that ran past its record
+// would land in theirs — then the step to the last value, committed or
+// rolled back after its tree write.
+type lengthRun struct {
+	md       crashtest.KVModel
+	values   [][]byte
+	rollback bool
+}
+
+func (r *lengthRun) Run(s *Store, arm func()) error {
 	const key = 5
-	neighbour := func(k uint64) []byte { return patterned(int(k)*40, byte(k)) }
 	for k := uint64(1); k <= 9; k++ {
 		if k != key {
-			if err := s.Put(k, neighbour(k)); err != nil {
-				t.Fatal(err)
-			}
+			r.md.Plan(crashtest.Put(k, patterned(int(k)*40, byte(k))))
 		}
 	}
-	for _, v := range values[:step] { // the acked history
-		if err := s.Put(key, v); err != nil {
-			t.Fatal(err)
+	next := r.values[len(r.values)-1]
+	for _, v := range r.values[:len(r.values)-1] {
+		r.md.Plan(crashtest.Put(key, v))
+	}
+	for r.md.Issued < len(r.md.Ops) {
+		if err := r.md.Send(apply(s)); err != nil {
+			return err
 		}
 	}
-	old, next := values[step-1], values[step]
-
-	mem := st.Mem()
-	mem.SetCrashAfter(point)
-	crashed := mem.RunToCrash(func() {
-		if !rollback {
-			if err := s.Put(key, next); err != nil {
-				panic(fmt.Sprintf("overwrite rejected: %v", err))
-			}
-			return
+	arm()
+	if !r.rollback {
+		r.md.Plan(crashtest.Put(key, next))
+		if err := r.md.Send(apply(s)); err != nil {
+			return fmt.Errorf("overwrite rejected: %v", err)
 		}
-		sp := s.stripeOf(key)
-		_, err := s.updatePinned(sp, nil, func(tx *rewind.Tx) error {
-			if _, err := sp.tree.Insert(tx, key, s.encode(nil, next)); err != nil {
-				return err
-			}
-			return errProbeRollback
-		})
-		if !errors.Is(err, errProbeRollback) {
-			panic(fmt.Sprintf("rolled-back overwrite returned %v", err))
+		return r.md.Check(s) // in place, before any crash
+	}
+	sp := s.stripeOf(key)
+	_, err := s.updatePinned(sp, nil, func(tx *rewind.Tx) error {
+		if _, err := sp.tree.Insert(tx, key, s.encode(nil, next)); err != nil {
+			return err
 		}
+		return errProbeRollback
 	})
-	mem.SetCrashAfter(0)
-
-	check := func(s *Store, when string) {
-		t.Helper()
-		if err := s.CheckInvariants(); err != nil {
-			t.Fatalf("point %d %s: %v", point, when, err)
-		}
-		v, ok := s.Get(key)
-		if !ok {
-			t.Fatalf("point %d %s: key LOST", point, when)
-		}
-		switch {
-		case bytes.Equal(v, old) && (crashed || rollback):
-		case bytes.Equal(v, next) && !rollback:
-		default:
-			t.Fatalf("point %d %s (crashed=%v): value is %d bytes %x…, want exactly the %d-byte old or the %d-byte new one",
-				point, when, crashed, len(v), v[:min(len(v), 24)], len(old), len(next))
-		}
-		for k := uint64(1); k <= 9; k++ {
-			if k == key {
-				continue
-			}
-			if v, ok := s.Get(k); !ok || !bytes.Equal(v, neighbour(k)) {
-				t.Fatalf("point %d %s: neighbour %d damaged (%d bytes, present=%v)", point, when, k, len(v), ok)
-			}
-		}
+	if !errors.Is(err, errProbeRollback) {
+		return fmt.Errorf("rolled-back overwrite returned %v", err)
 	}
-	if !crashed {
-		check(s, "in place")
-	}
-	st2, err := rewind.Reattach(st.Options(), mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Attach(st2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(s2, "after recovery")
-	return !crashed
+	return r.md.Check(s)
 }
+
+func (r *lengthRun) Check(s *Store, crashed bool) error { return r.md.Check(s) }
 
 // TestRecordLengthsAgainstModel drives seeded random-length writes through
 // every write door — Put, Delete, CAS, Batch, an interactive transaction —

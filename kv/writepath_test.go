@@ -5,11 +5,11 @@ package kv
 // pinning for single-stripe batches, and the CAS-overwrite crash matrix.
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
 	"github.com/rewind-db/rewind"
+	"github.com/rewind-db/rewind/internal/crashtest"
 )
 
 // TestWritePathRouting pins which tier each write takes on a one-stripe
@@ -213,9 +213,7 @@ func TestSerialWritesEscapeHatch(t *testing.T) {
 // checks after recovery that the overwrite is all-or-none (the record is
 // exactly the old or exactly the new value, never a mix), that every acked
 // write survives, and that an acked delete stays deleted (no
-// resurrection). Each point runs on a freshly built store so the injection
-// counter lands on the same boundary every time; the loop ends at the
-// first point the overwrite survives outright.
+// resurrection).
 func TestOverwriteFastPathCrashMatrix(t *testing.T) {
 	for _, mode := range []rewind.CommitMode{rewind.UndoRedo, rewind.RedoOnly} {
 		name := "UndoRedo"
@@ -223,104 +221,48 @@ func TestOverwriteFastPathCrashMatrix(t *testing.T) {
 			name = "RedoOnly"
 		}
 		t.Run(name, func(t *testing.T) {
-			const maxPoints = 5000
-			survived := false
-			points := 0
-			for i := 1; i <= maxPoints && !survived; i++ {
-				survived = runOverwriteCrashPoint(t, mode, i)
-				points++
+			n := crashtest.Explore(t, crashCase(rewind.Options{
+				ArenaSize: 32 << 20, GroupCommit: true, GroupCommitWindow: 0, GroupCommitMax: 1,
+				CommitMode: mode,
+			}, Config{Stripes: 2, MaxValue: 64}, nil, func() crashtest.Model[*Store] { return &overwriteRun{} }))
+			if n < 2 {
+				t.Fatalf("only %d durable operations in the overwrite; injection is not covering it", n)
 			}
-			if !survived {
-				t.Fatalf("overwrite still crashing after %d injection points", maxPoints)
-			}
-			if points < 3 {
-				t.Fatalf("only %d crash points before the overwrite completed; injection is not covering it", points)
-			}
-			t.Logf("overwrite crash matrix (%s): %d injection points covered", name, points-1)
 		})
 	}
 }
 
-func runOverwriteCrashPoint(t *testing.T, mode rewind.CommitMode, point int) (survived bool) {
-	t.Helper()
-	st, err := rewind.Open(rewind.Options{
-		ArenaSize: 32 << 20, GroupCommit: true, GroupCommitWindow: 0, GroupCommitMax: 1,
-		CommitMode: mode,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Create(st, Config{Stripes: 2, MaxValue: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+type overwriteRun struct {
+	md   crashtest.KVModel
+	fast int64 // the store's fast-path count once the overwrite returned
+}
 
+func (r *overwriteRun) Run(s *Store, arm func()) error {
 	// Acked phase: all durable whatever happens later. Key 11 is deleted
 	// again — its resurrection after the crash would be a recovery bug.
-	oldVal := func(k uint64) []byte { return []byte(fmt.Sprintf("acked-%d", k)) }
 	for k := uint64(1); k <= 11; k++ {
-		if err := s.Put(k, oldVal(k)); err != nil {
-			t.Fatal(err)
+		r.md.Plan(crashtest.Put(k, []byte(fmt.Sprintf("acked-%d", k))))
+	}
+	r.md.Plan(crashtest.Del(11))
+	for r.md.Issued < len(r.md.Ops) {
+		if err := r.md.Send(apply(s)); err != nil {
+			return err
 		}
 	}
-	if found, err := s.Delete(11); err != nil || !found {
-		t.Fatalf("setup delete = %v, %v", found, err)
+	arm()
+	r.md.Plan(crashtest.Put(3, []byte("overwritten-by-fast-path")))
+	if err := r.md.Send(apply(s)); err != nil {
+		return fmt.Errorf("overwrite rejected: %v", err)
 	}
+	r.fast = s.Stats().OverwriteFastPath
+	return nil
+}
 
-	newVal := []byte("overwritten-by-fast-path")
-	mem := st.Mem()
-	mem.SetCrashAfter(point)
-	crashed := mem.RunToCrash(func() {
-		if err := s.Put(3, newVal); err != nil {
-			panic(fmt.Sprintf("overwrite rejected: %v", err))
-		}
-	})
-	mem.SetCrashAfter(0)
-	if !crashed && s.Stats().OverwriteFastPath != 1 {
-		t.Fatalf("point %d: probe Put did not take the overwrite fast path", point)
+func (r *overwriteRun) Check(s *Store, crashed bool) error {
+	if !crashed && r.fast != 1 {
+		return fmt.Errorf("probe Put did not take the overwrite fast path")
 	}
-
-	// "Restart": recover over the surviving durable image.
-	st2, err := rewind.Reattach(st.Options(), mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Attach(st2, Config{Stripes: 2, MaxValue: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.CheckInvariants(); err != nil {
-		t.Fatalf("point %d: %v", point, err)
-	}
-
-	// All-or-none: key 3 is exactly the old or exactly the new value.
-	v, ok := s2.Get(3)
-	if !ok {
-		t.Fatalf("point %d: overwritten key 3 LOST", point)
-	}
-	applied := bytes.Equal(v, newVal)
-	if !applied && !bytes.Equal(v, oldVal(3)) {
-		t.Fatalf("point %d: key 3 TORN: %q is neither old nor new", point, v)
-	}
-	if !crashed && !applied {
-		t.Fatalf("point %d: overwrite acked but not applied", point)
-	}
-	// Every other acked write survives; the acked delete stays deleted.
-	for k := uint64(1); k <= 10; k++ {
-		if k == 3 {
-			continue
-		}
-		if v, ok := s2.Get(k); !ok || !bytes.Equal(v, oldVal(k)) {
-			t.Fatalf("point %d: acked key %d = %q, %v", point, k, v, ok)
-		}
-	}
-	if v, ok := s2.Get(11); ok {
-		t.Fatalf("point %d: deleted key 11 RESURRECTED as %q", point, v)
-	}
-	if got := s2.Len(); got != 10 {
-		t.Fatalf("point %d: Len = %d, want 10", point, got)
-	}
-	return !crashed
+	return r.md.Check(s)
 }
 
 // TestOnlyOverwritesPipeline pins which mutations leave kv ahead of their

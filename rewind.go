@@ -286,7 +286,7 @@ func Open(opts Options) (*Store, error) {
 			return nil, err
 		}
 	}
-	alloc := pmem.Format(mem)
+	alloc := growable(opts, mem, pmem.Format(mem))
 	tm, err := core.New(alloc, coreConfig(opts, primaryRootBase))
 	if err != nil {
 		return nil, err
@@ -294,13 +294,19 @@ func Open(opts Options) (*Store, error) {
 	return newStore(opts, mem, alloc, tm, nil), nil
 }
 
-// newStore finishes construction. The growth policy is volatile allocator
-// state, so every open/attach path re-arms it here from the device's
-// actual headroom.
-func newStore(opts Options, mem *nvm.Memory, alloc *pmem.Allocator, tm *core.TM, rs *core.RecoveryStats) *Store {
+// growable arms the allocator's growth policy from the device's actual
+// headroom. The policy is volatile allocator state, so every open and attach
+// path arms it, and before recovery: undoing a transaction the crash cut
+// short appends compensation records, which on a full arena need it grown.
+func growable(opts Options, mem *nvm.Memory, alloc *pmem.Allocator) *pmem.Allocator {
 	if mem.MaxSize() > mem.Size() {
 		alloc.SetGrowth(opts.GrowStep)
 	}
+	return alloc
+}
+
+// newStore finishes construction.
+func newStore(opts Options, mem *nvm.Memory, alloc *pmem.Allocator, tm *core.TM, rs *core.RecoveryStats) *Store {
 	s := &Store{opts: opts, mem: mem, alloc: alloc, tm: tm}
 	if rs != nil {
 		s.Recovery = *rs
@@ -335,6 +341,7 @@ func openBacked(opts Options) (s *Store, err error) {
 	}()
 	if existed {
 		if alloc, perr := pmem.Open(mem); perr == nil {
+			growable(opts, mem, alloc)
 			if alloc.Root(primaryRootBase) != nvm.Null {
 				tm, rs, err := core.Open(alloc, coreConfig(opts, primaryRootBase))
 				if err != nil {
@@ -352,7 +359,7 @@ func openBacked(opts Options) (s *Store, err error) {
 			return nil, perr
 		}
 	}
-	alloc := pmem.Format(mem)
+	alloc := growable(opts, mem, pmem.Format(mem))
 	tm, err := core.New(alloc, coreConfig(opts, primaryRootBase))
 	if err != nil {
 		return nil, err
@@ -371,7 +378,7 @@ func attach(opts Options, mem *nvm.Memory) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	tm, rs, err := core.Open(alloc, coreConfig(opts, primaryRootBase))
+	tm, rs, err := core.Open(growable(opts, mem, alloc), coreConfig(opts, primaryRootBase))
 	if err != nil {
 		return nil, err
 	}

@@ -1,154 +1,125 @@
 package server
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
 	"github.com/rewind-db/rewind"
+	"github.com/rewind-db/rewind/internal/crashtest"
+	"github.com/rewind-db/rewind/internal/nvm"
 	"github.com/rewind-db/rewind/internal/wire"
 	"github.com/rewind-db/rewind/kv"
 )
 
+// serverCase is the crash case the server's matrices share: a four-stripe
+// kv store the workload serves through the server's own request path, held
+// to the kv model (crashtest.KVModel) after every recovery.
+func serverCase(opts rewind.Options, model func() crashtest.Model[*kv.Store]) crashtest.Case[*kv.Store] {
+	cfg := kv.Config{Stripes: 4, MaxValue: 64}
+	return crashtest.Case[*kv.Store]{
+		Setup: func() (*nvm.Memory, error) {
+			st, err := rewind.Open(opts)
+			if err != nil {
+				return nil, err
+			}
+			_, err = kv.Create(st, cfg)
+			return st.Mem(), err
+		},
+		Open: func(m *nvm.Memory) (*kv.Store, error) {
+			st, err := rewind.Reattach(opts, m)
+			if err != nil {
+				return nil, err
+			}
+			return kv.Attach(st, cfg)
+		},
+		Model: model,
+	}
+}
+
+// ackedKeys are the keys every server matrix writes and acknowledges
+// before its crash window opens, "acked-<k>" each; their log records are
+// still live when the window opens.
+var ackedKeys = []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+
+// ackedPhase plans and sends those PUTs.
+func ackedPhase(srv *Server, md *crashtest.KVModel) error {
+	for _, k := range ackedKeys {
+		md.Plan(crashtest.Put(k, []byte(fmt.Sprintf("acked-%d", k))))
+		if err := md.Send(func(op []crashtest.Write) error {
+			_, err := send(srv, uint32(k), wire.OpPut, wire.AppendBytes(wire.AppendU64(nil, k), op[0].Value))
+			return err
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// send applies one request through the server's request path and returns
+// the reply body, or the refusal as an error.
+func send(srv *Server, id uint32, op byte, body []byte) ([]byte, error) {
+	resp := srv.apply(nil, id, op, body)
+	if resp[8] != wire.StatusOK {
+		return nil, fmt.Errorf("request %d refused: %s", id, resp[9:])
+	}
+	return resp[9:], nil
+}
+
 // TestBatchCrashMatrix is the deterministic, in-process variant of the
 // SIGKILL torture: it drives the server's own request path (Server.apply,
-// the whole data plane minus the sockets) and injects a crash at EVERY
+// the whole data plane minus the sockets), crashes at every
 // durable-operation boundary inside a BATCH request, restarts, and checks
 // the two invariants the protocol acks promise:
 //
 //  1. every request acked before the batch is fully durable, and
 //  2. the crashed batch is all-or-none: either every one of its ops is
 //     visible after recovery or none is — never a prefix.
-//
-// Each crash point runs against a freshly built store so the injection
-// counter always lands on the same instruction boundary; the loop ends at
-// the first crash point the batch survives outright.
 func TestBatchCrashMatrix(t *testing.T) {
-	const maxPoints = 20000
-	survived := false
-	points := 0
-	for i := 1; i <= maxPoints && !survived; i++ {
-		survived = runBatchCrashPoint(t, i)
-		points++
+	n := crashtest.Explore(t, serverCase(rewind.Options{
+		ArenaSize: 32 << 20, GroupCommit: true, GroupCommitWindow: 0, GroupCommitMax: 1,
+	}, func() crashtest.Model[*kv.Store] { return &batchRun{} }))
+	if n < 9 {
+		t.Fatalf("only %d durable operations in the batch; injection is not covering the batch", n)
 	}
-	if !survived {
-		t.Fatalf("batch still crashing after %d injection points", maxPoints)
-	}
-	if points < 10 {
-		t.Fatalf("only %d crash points before the batch completed; injection is not covering the batch", points)
-	}
-	t.Logf("batch crash matrix: %d injection points covered", points-1)
 }
 
-// ackedState is what the pre-batch acked requests established.
-var ackedKeys = []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+// batchOps is the torture BATCH: an overwrite, fresh inserts and deletes,
+// spread across stripes.
+var batchOps = []crashtest.Write{
+	crashtest.Put(2, []byte("overwritten")), // overwrite acked key
+	crashtest.Put(101, []byte("fresh-a")),   // fresh inserts
+	crashtest.Put(102, []byte("fresh-b")),
+	crashtest.Put(103, []byte("fresh-c")),
+	crashtest.Del(5), // delete acked keys
+	crashtest.Del(9),
+}
 
-// batchOps builds the torture BATCH: overwrites, fresh inserts and
-// deletes, spread across stripes.
-func batchBody() []byte {
-	body := wire.AppendU32(nil, 6)
-	add := func(del bool, key uint64, val []byte) []byte {
-		kind := byte(0)
-		if del {
-			kind = 1
+// batchBody encodes ws as a BATCH request body.
+func batchBody(ws []crashtest.Write) []byte {
+	body := wire.AppendU32(nil, uint32(len(ws)))
+	for _, w := range ws {
+		if w.Delete {
+			body = wire.AppendU64(append(body, 1), w.Key)
+		} else {
+			body = wire.AppendBytes(wire.AppendU64(append(body, 0), w.Key), w.Value)
 		}
-		body = append(body, kind)
-		body = wire.AppendU64(body, key)
-		if !del {
-			body = wire.AppendBytes(body, val)
-		}
-		return body
 	}
-	body = add(false, 2, []byte("overwritten")) // overwrite acked key
-	body = add(false, 101, []byte("fresh-a"))   // fresh inserts
-	body = add(false, 102, []byte("fresh-b"))
-	body = add(false, 103, []byte("fresh-c"))
-	body = add(true, 5, nil) // delete acked keys
-	body = add(true, 9, nil)
 	return body
 }
 
-// runBatchCrashPoint builds a store, acks the base requests, then applies
-// the batch with a crash armed before the i-th durable op. It reports
-// whether the batch ran to completion without crashing.
-func runBatchCrashPoint(t *testing.T, point int) (survived bool) {
-	t.Helper()
-	st, err := rewind.Open(rewind.Options{
-		ArenaSize: 32 << 20, GroupCommit: true, GroupCommitWindow: 0, GroupCommitMax: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kvs, err := kv.Create(st, kv.Config{Stripes: 4, MaxValue: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+type batchRun struct{ md crashtest.KVModel }
+
+func (r *batchRun) Run(kvs *kv.Store, arm func()) error {
 	srv := New(kvs)
-
-	// Acked phase: every response must be durable whatever happens later.
-	for _, k := range ackedKeys {
-		body := wire.AppendU64(nil, k)
-		body = wire.AppendBytes(body, []byte(fmt.Sprintf("acked-%d", k)))
-		resp := srv.apply(nil, uint32(k), wire.OpPut, body)
-		if status := resp[8]; status != wire.StatusOK {
-			t.Fatalf("setup put %d not acked: status %d", k, status)
-		}
+	if err := ackedPhase(srv, &r.md); err != nil {
+		return err
 	}
-
-	mem := st.Mem()
-	mem.SetCrashAfter(point)
-	crashed := mem.RunToCrash(func() {
-		resp := srv.apply(nil, 99, wire.OpBatch, batchBody())
-		if status := resp[8]; status != wire.StatusOK {
-			panic(fmt.Sprintf("batch rejected: %s", resp[9:]))
-		}
+	r.md.Plan(batchOps...)
+	arm()
+	return r.md.Send(func(op []crashtest.Write) error {
+		_, err := send(srv, 99, wire.OpBatch, batchBody(op))
+		return err
 	})
-	mem.SetCrashAfter(0)
-
-	// "Restart": recover over the surviving durable image.
-	st2, err := rewind.Reattach(st.Options(), mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kvs2, err := kv.Attach(st2, kv.Config{Stripes: 4, MaxValue: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := kvs2.CheckInvariants(); err != nil {
-		t.Fatalf("point %d: %v", point, err)
-	}
-
-	// Determine whether the batch landed by its fresh-insert marker, then
-	// hold the recovered state to exactly one of the two legal worlds.
-	_, batchApplied := kvs2.Get(101)
-	if !crashed && !batchApplied {
-		t.Fatalf("point %d: batch acked but not applied", point)
-	}
-	for _, k := range ackedKeys {
-		want := []byte(fmt.Sprintf("acked-%d", k))
-		switch {
-		case batchApplied && k == 2:
-			want = []byte("overwritten")
-		case batchApplied && (k == 5 || k == 9):
-			if v, ok := kvs2.Get(k); ok {
-				t.Fatalf("point %d: batch applied but deleted key %d survives as %q", point, k, v)
-			}
-			continue
-		}
-		v, ok := kvs2.Get(k)
-		if !ok {
-			t.Fatalf("point %d: acked key %d lost (batch applied: %v)", point, k, batchApplied)
-		}
-		if !bytes.Equal(v, want) {
-			t.Fatalf("point %d: acked key %d = %q, want %q", point, k, v, want)
-		}
-	}
-	for _, k := range []uint64{101, 102, 103} {
-		_, ok := kvs2.Get(k)
-		if ok != batchApplied {
-			t.Fatalf("point %d: batch torn: key 101 present=%v but key %d present=%v",
-				point, batchApplied, k, ok)
-		}
-	}
-	return !crashed
 }
+
+func (r *batchRun) Check(kvs *kv.Store, crashed bool) error { return r.md.Check(kvs) }

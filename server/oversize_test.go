@@ -14,15 +14,17 @@ import (
 )
 
 // startBigServer boots a store whose MaxValue exceeds what one wire frame
-// can carry — the configuration that used to poison connections.
+// can carry — the configuration that used to poison connections. One stripe
+// and the smallest arena kv accepts for its ~17 MiB leaves (a quarter of the
+// arena each) keep the fixture cheap under the race detector.
 func startBigServer(t *testing.T, maxValue int) (*kv.Store, string) {
 	t.Helper()
-	st, err := rewind.Open(rewind.Options{ArenaSize: 256 << 20, GroupCommit: true,
+	st, err := rewind.Open(rewind.Options{ArenaSize: 80 << 20, GroupCommit: true,
 		GroupCommitWindow: 0, GroupCommitMax: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	kvs, err := kv.Create(st, kv.Config{Stripes: 4, MaxValue: maxValue})
+	kvs, err := kv.Create(st, kv.Config{Stripes: 1, MaxValue: maxValue})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,12 +175,17 @@ func TestChunkedReadConsistency(t *testing.T) {
 	cl := client.Dial(addr, client.Options{Conns: 1})
 	defer cl.Close()
 
+	// The writer flips at most once per completed read, so a read is
+	// invalidated mid-assembly at most once in a row and always finishes
+	// within the client's attempts.
 	const flips = 12
+	read := make(chan struct{}, 1)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < flips; i++ {
+			<-read
 			v := a
 			if i%2 == 0 {
 				v = b
@@ -197,7 +204,12 @@ func TestChunkedReadConsistency(t *testing.T) {
 			t.Fatalf("read %d: torn chunked read (%d bytes, first=%#x last=%#x)",
 				i, len(v), v[0], v[len(v)-1])
 		}
+		select {
+		case read <- struct{}{}:
+		default:
+		}
 	}
+	close(read) // whatever flips are left run unpaced
 	wg.Wait()
 	if v, err := cl.Get(1); err != nil || (!bytes.Equal(v, a) && !bytes.Equal(v, b)) {
 		t.Fatalf("final read torn: %v", err)

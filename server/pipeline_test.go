@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/rewind-db/rewind"
+	"github.com/rewind-db/rewind/internal/crashtest"
 	"github.com/rewind-db/rewind/internal/obs"
 	"github.com/rewind-db/rewind/internal/wire"
 	"github.com/rewind-db/rewind/kv"
@@ -60,15 +61,23 @@ type reply struct {
 
 func parseReplies(t *testing.T, raw []byte) []reply {
 	t.Helper()
+	out, err := readReplies(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func readReplies(raw []byte) ([]reply, error) {
 	var out []reply
 	br := bufio.NewReader(bytes.NewReader(raw))
 	for {
 		id, status, body, err := wire.ReadFrame(br)
 		if err == io.EOF {
-			return out
+			return out, nil
 		}
 		if err != nil {
-			t.Fatalf("reply stream is not well-formed frames: %v", err)
+			return out, fmt.Errorf("reply stream is not well-formed frames: %v", err)
 		}
 		out = append(out, reply{id, status, append([]byte(nil), body...)})
 	}
@@ -266,146 +275,103 @@ func TestConnectionDiesMidBurst(t *testing.T) {
 // loop releases replies three times and crash points fall before, between
 // and after partial acknowledgments.
 func TestPipelineCrashMatrix(t *testing.T) {
-	// Strided under -short so CI's -race job sweeps a subset of the crash
-	// points; the full matrix runs in the plain suite.
-	stride := 1
-	if testing.Short() {
-		stride = 7
-	}
 	for _, mode := range []rewind.CommitMode{rewind.UndoRedo, rewind.RedoOnly} {
 		t.Run(mode.String(), func(t *testing.T) {
-			const maxPoints = 20000
-			survived := false
-			points := 0
-			for i := 1; i <= maxPoints && !survived; i += stride {
-				survived = runPipelineCrashPoint(t, mode, i)
-				points++
+			n := crashtest.Explore(t, serverCase(rewind.Options{ArenaSize: 8 << 20, CommitMode: mode, GroupCommit: true},
+				func() crashtest.Model[*kv.Store] { return &pipelineRun{burst: pipelineBurst(64)} }))
+			if n < 9 {
+				t.Fatalf("only %d durable operations in the burst; injection is not covering it", n)
 			}
-			if !survived {
-				t.Fatalf("burst still crashing after %d injection points", maxPoints)
-			}
-			if points < 10 {
-				t.Fatalf("only %d crash points before the burst completed; injection is not covering it", points)
-			}
-			t.Logf("pipeline crash matrix (%s): %d injection points covered", mode, points-1)
 		})
 	}
 }
 
 // burstOp is one frame of the crash-matrix burst: what to send, the reply
-// it must get, and how to tell from a recovered store whether it applied
-// (nil for the frame that must be refused).
+// it must get, and what it writes (nothing for the frame that must be
+// refused).
 type burstOp struct {
-	frame   []byte
-	status  byte
-	body    string
-	applied func(s *kv.Store) bool
+	frame  []byte
+	status byte
+	body   string
+	write  *crashtest.Write
 }
 
 func pipelineBurst(maxValue int) []burstOp {
-	holds := func(key uint64, val string) func(*kv.Store) bool {
-		return func(s *kv.Store) bool { v, ok := s.Get(key); return ok && string(v) == val }
-	}
-	gone := func(key uint64) func(*kv.Store) bool {
-		return func(s *kv.Store) bool { _, ok := s.Get(key); return !ok }
-	}
 	var ops []burstOp
-	add := func(frame []byte, status byte, body string, applied func(*kv.Store) bool) {
-		ops = append(ops, burstOp{frame, status, body, applied})
+	add := func(frame []byte, status byte, body string, w *crashtest.Write) {
+		ops = append(ops, burstOp{frame, status, body, w})
 	}
+	put := func(key uint64, val string) *crashtest.Write { w := crashtest.Put(key, []byte(val)); return &w }
+	del := func(key uint64) *crashtest.Write { w := crashtest.Del(key); return &w }
 	id := func() uint32 { return uint32(len(ops) + 1) }
-	// Every op owns its key, so "applied" is decidable per op. Keys 1..10
-	// hold "acked-<k>" from the acked phase; 101.. are fresh.
-	add(putFrame(id(), 101, "fresh-a"), wire.StatusOK, "", holds(101, "fresh-a"))
-	add(putFrame(id(), 2, "overwritten"), wire.StatusOK, "", holds(2, "overwritten"))
-	add(delFrame(id(), 5), wire.StatusOK, "\x01", gone(5))
-	add(casFrame(id(), 3, "acked-3", "swapped"), wire.StatusOK, "\x01", holds(3, "swapped"))
-	add(putFrame(id(), 102, "fresh-b"), wire.StatusOK, "", holds(102, "fresh-b"))
-	add(casFrame(id(), 103, "", "if-absent"), wire.StatusOK, "\x01", holds(103, "if-absent"))
+	// Keys 1..10 hold "acked-<k>" from the acked phase; 101.. are fresh.
+	add(putFrame(id(), 101, "fresh-a"), wire.StatusOK, "", put(101, "fresh-a"))
+	add(putFrame(id(), 2, "overwritten"), wire.StatusOK, "", put(2, "overwritten"))
+	add(delFrame(id(), 5), wire.StatusOK, "\x01", del(5))
+	add(casFrame(id(), 3, "acked-3", "swapped"), wire.StatusOK, "\x01", put(3, "swapped"))
+	add(putFrame(id(), 102, "fresh-b"), wire.StatusOK, "", put(102, "fresh-b"))
+	add(casFrame(id(), 103, "", "if-absent"), wire.StatusOK, "\x01", put(103, "if-absent"))
 	add(putFrame(id(), 104, string(make([]byte, maxValue+1))), wire.StatusErr, kv.ErrValueTooLarge.Error(), nil)
-	add(delFrame(id(), 9), wire.StatusOK, "\x01", gone(9))
-	add(putFrame(id(), 4, "overwritten-4"), wire.StatusOK, "", holds(4, "overwritten-4"))
-	add(putFrame(id(), 105, "fresh-c"), wire.StatusOK, "", holds(105, "fresh-c"))
-	add(casFrame(id(), 6, "acked-6", "swapped-6"), wire.StatusOK, "\x01", holds(6, "swapped-6"))
-	add(putFrame(id(), 106, "fresh-d"), wire.StatusOK, "", holds(106, "fresh-d"))
-	add(delFrame(id(), 7), wire.StatusOK, "\x01", gone(7))
-	add(putFrame(id(), 107, "fresh-e"), wire.StatusOK, "", holds(107, "fresh-e"))
-	add(putFrame(id(), 8, "overwritten-8"), wire.StatusOK, "", holds(8, "overwritten-8"))
-	add(putFrame(id(), 108, "fresh-f"), wire.StatusOK, "", holds(108, "fresh-f"))
+	add(delFrame(id(), 9), wire.StatusOK, "\x01", del(9))
+	add(putFrame(id(), 4, "overwritten-4"), wire.StatusOK, "", put(4, "overwritten-4"))
+	add(putFrame(id(), 105, "fresh-c"), wire.StatusOK, "", put(105, "fresh-c"))
+	add(casFrame(id(), 6, "acked-6", "swapped-6"), wire.StatusOK, "\x01", put(6, "swapped-6"))
+	add(putFrame(id(), 106, "fresh-d"), wire.StatusOK, "", put(106, "fresh-d"))
+	add(delFrame(id(), 7), wire.StatusOK, "\x01", del(7))
+	add(putFrame(id(), 107, "fresh-e"), wire.StatusOK, "", put(107, "fresh-e"))
+	add(putFrame(id(), 8, "overwritten-8"), wire.StatusOK, "", put(8, "overwritten-8"))
+	add(putFrame(id(), 108, "fresh-f"), wire.StatusOK, "", put(108, "fresh-f"))
 	return ops
 }
 
-func runPipelineCrashPoint(t *testing.T, mode rewind.CommitMode, point int) (survived bool) {
-	t.Helper()
-	const maxValue = 64
-	st, err := rewind.Open(rewind.Options{ArenaSize: 8 << 20, CommitMode: mode, GroupCommit: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kvs, err := kv.Create(st, kv.Config{Stripes: 4, MaxValue: maxValue})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(kvs)
-	for _, k := range ackedKeys {
-		body := wire.AppendBytes(wire.AppendU64(nil, k), []byte(fmt.Sprintf("acked-%d", k)))
-		if resp := srv.apply(nil, uint32(k), wire.OpPut, body); resp[8] != wire.StatusOK {
-			t.Fatalf("setup put %d not acked: status %d", k, resp[8])
-		}
-	}
+type pipelineRun struct {
+	md    crashtest.KVModel
+	burst []burstOp
+	conn  scriptConn
+}
 
-	ops := pipelineBurst(maxValue)
-	conn := &scriptConn{chunks: make([][]byte, 3)}
-	for i, op := range ops {
+func (r *pipelineRun) Run(kvs *kv.Store, arm func()) error {
+	srv := New(kvs)
+	if err := ackedPhase(srv, &r.md); err != nil {
+		return err
+	}
+	r.conn.chunks = make([][]byte, 3)
+	for i, op := range r.burst {
 		chunk := 2
 		if i < 5 {
 			chunk = 0
 		} else if i == 5 {
 			chunk = 1
 		}
-		conn.chunks[chunk] = append(conn.chunks[chunk], op.frame...)
-	}
-
-	mem := st.Mem()
-	mem.SetCrashAfter(point)
-	crashed := mem.RunToCrash(func() { serveScript(srv, conn) })
-	mem.SetCrashAfter(0)
-
-	got := parseReplies(t, conn.got.Bytes())
-	if !crashed && len(got) != len(ops) {
-		t.Fatalf("point %d: burst completed with %d replies for %d frames", point, len(got), len(ops))
-	}
-	for i, r := range got {
-		if want := ops[i]; r.id != uint32(i+1) || r.status != want.status || string(r.body) != want.body {
-			t.Fatalf("point %d: reply %d = id %d status %d %q, want id %d status %d %q",
-				point, i, r.id, r.status, r.body, i+1, want.status, want.body)
+		r.conn.chunks[chunk] = append(r.conn.chunks[chunk], op.frame...)
+		if op.write != nil {
+			r.md.Plan(*op.write)
 		}
 	}
+	r.md.Issued = len(r.md.Ops) // every frame is on the wire
+	arm()
+	serveScript(srv, &r.conn)
+	return nil
+}
 
-	st2, err := rewind.Reattach(st.Options(), mem)
+func (r *pipelineRun) Check(kvs *kv.Store, crashed bool) error {
+	got, err := readReplies(r.conn.got.Bytes())
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
-	kvs2, err := kv.Attach(st2, kv.Config{Stripes: 4, MaxValue: maxValue})
-	if err != nil {
-		t.Fatal(err)
+	if !crashed && len(got) != len(r.burst) {
+		return fmt.Errorf("burst completed with %d replies for %d frames", len(got), len(r.burst))
 	}
-	if err := kvs2.CheckInvariants(); err != nil {
-		t.Fatalf("point %d: %v", point, err)
-	}
-	lost := -1 // the first mutation absent after recovery
-	for i, op := range ops {
-		if op.applied == nil {
-			continue
+	r.md.Acked = len(ackedKeys)
+	for i, rp := range got {
+		want := r.burst[i]
+		if rp.id != uint32(i+1) || rp.status != want.status || string(rp.body) != want.body {
+			return fmt.Errorf("reply %d = id %d status %d %q, want id %d status %d %q",
+				i, rp.id, rp.status, rp.body, i+1, want.status, want.body)
 		}
-		switch present := op.applied(kvs2); {
-		case present && lost >= 0:
-			t.Fatalf("point %d: op %d survived the crash but the earlier op %d did not", point, i+1, lost+1)
-		case !present && i < len(got):
-			t.Fatalf("point %d: op %d was acknowledged but is absent after recovery", point, i+1)
-		case !present && lost < 0:
-			lost = i
+		if want.write != nil {
+			r.md.Acked++
 		}
 	}
-	return !crashed
+	return r.md.Check(kvs)
 }

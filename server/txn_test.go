@@ -13,6 +13,7 @@ import (
 
 	"github.com/rewind-db/rewind"
 	"github.com/rewind-db/rewind/client"
+	"github.com/rewind-db/rewind/internal/crashtest"
 	"github.com/rewind-db/rewind/internal/wire"
 	"github.com/rewind-db/rewind/kv"
 )
@@ -31,142 +32,60 @@ import (
 func TestTxnCrashMatrix(t *testing.T) {
 	for _, mode := range []rewind.CommitMode{rewind.UndoRedo, rewind.RedoOnly} {
 		t.Run(mode.String(), func(t *testing.T) {
-			const maxPoints = 20000
-			survived := false
-			points := 0
-			for i := 1; i <= maxPoints && !survived; i++ {
-				survived = runTxnCrashPoint(t, mode, i)
-				points++
+			n := crashtest.Explore(t, serverCase(rewind.Options{
+				ArenaSize: 32 << 20, CommitMode: mode,
+				GroupCommit: true, GroupCommitWindow: 0, GroupCommitMax: 1,
+			}, func() crashtest.Model[*kv.Store] { return &txnRun{} }))
+			if n < 9 {
+				t.Fatalf("only %d durable operations in the commit; injection is not covering it", n)
 			}
-			if !survived {
-				t.Fatalf("txn commit still crashing after %d injection points", maxPoints)
-			}
-			if points < 10 {
-				t.Fatalf("only %d crash points before the commit completed; injection is not covering it", points)
-			}
-			t.Logf("txn crash matrix (%s): %d injection points covered", mode, points-1)
 		})
 	}
 }
 
-// runTxnCrashPoint builds a store, acks the base puts, then runs the full
-// transactional conversation through the server's request path with a
-// crash armed before the point-th durable op. Reports whether the commit
-// ran to completion without crashing.
-func runTxnCrashPoint(t *testing.T, mode rewind.CommitMode, point int) (survived bool) {
-	t.Helper()
-	st, err := rewind.Open(rewind.Options{
-		ArenaSize: 32 << 20, CommitMode: mode,
-		GroupCommit: true, GroupCommitWindow: 0, GroupCommitMax: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kvs, err := kv.Create(st, kv.Config{Stripes: 4, MaxValue: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+type txnRun struct{ md crashtest.KVModel }
+
+func (r *txnRun) Run(kvs *kv.Store, arm func()) error {
 	srv := New(kvs)
-
-	for _, k := range ackedKeys {
-		body := wire.AppendU64(nil, k)
-		body = wire.AppendBytes(body, []byte(fmt.Sprintf("acked-%d", k)))
-		resp := srv.apply(nil, uint32(k), wire.OpPut, body)
-		if status := resp[8]; status != wire.StatusOK {
-			t.Fatalf("setup put %d not acked: status %d", k, status)
-		}
+	defer srv.Close() // stops the idle sweeper BEGIN starts
+	if err := ackedPhase(srv, &r.md); err != nil {
+		return err
 	}
-
-	mem := st.Mem()
-	mem.SetCrashAfter(point)
-	crashed := mem.RunToCrash(func() {
-		resp := srv.apply(nil, 90, wire.OpBegin, nil)
-		if resp[8] != wire.StatusOK {
-			panic(fmt.Sprintf("begin rejected: %s", resp[9:]))
+	r.md.Plan(batchOps...)
+	arm()
+	err := r.md.Send(func(op []crashtest.Write) error {
+		resp, err := send(srv, 90, wire.OpBegin, nil)
+		if err != nil {
+			return err
 		}
-		tid := binary.LittleEndian.Uint64(resp[9:17])
-		tput := func(id uint32, key uint64, val string) {
-			body := wire.AppendU64(nil, tid)
-			body = wire.AppendU64(body, key)
-			body = wire.AppendBytes(body, []byte(val))
-			if resp := srv.apply(nil, id, wire.OpTxnPut, body); resp[8] != wire.StatusOK {
-				panic(fmt.Sprintf("tput %d rejected: %s", key, resp[9:]))
+		tid := binary.LittleEndian.Uint64(resp)
+		for i, w := range op {
+			body := wire.AppendU64(wire.AppendU64(nil, tid), w.Key)
+			frame := wire.OpTxnDel
+			if !w.Delete {
+				body, frame = wire.AppendBytes(body, w.Value), wire.OpTxnPut
+			}
+			if _, err := send(srv, uint32(91+i), frame, body); err != nil {
+				return err
 			}
 		}
-		tdel := func(id uint32, key uint64) {
-			body := wire.AppendU64(nil, tid)
-			body = wire.AppendU64(body, key)
-			if resp := srv.apply(nil, id, wire.OpTxnDel, body); resp[8] != wire.StatusOK {
-				panic(fmt.Sprintf("tdel %d rejected: %s", key, resp[9:]))
-			}
-		}
-		tput(91, 2, "overwritten") // overwrite acked key
-		tput(92, 201, "fresh-a")   // fresh inserts (the all-or-none marker)
-		tput(93, 202, "fresh-b")
-		tput(94, 203, "fresh-c")
-		tdel(95, 5) // delete acked keys
-		tdel(96, 9)
-		resp = srv.apply(nil, 99, wire.OpCommit, wire.AppendU64(nil, tid))
-		if resp[8] != wire.StatusOK {
-			panic(fmt.Sprintf("commit rejected: %s", resp[9:]))
-		}
+		_, err = send(srv, 99, wire.OpCommit, wire.AppendU64(nil, tid))
+		return err
 	})
-	mem.SetCrashAfter(0)
-
-	if !crashed {
-		// The conversation completed: COMMIT must have consumed the handle.
-		srv.txnMu.Lock()
-		live := len(srv.txns)
-		srv.txnMu.Unlock()
-		if live != 0 {
-			t.Fatalf("point %d: %d txn handles leaked after commit", point, live)
-		}
-	}
-
-	st2, err := rewind.Reattach(st.Options(), mem)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
-	kvs2, err := kv.Attach(st2, kv.Config{Stripes: 4, MaxValue: 64})
-	if err != nil {
-		t.Fatal(err)
+	// The conversation completed: COMMIT must have consumed the handle.
+	srv.txnMu.Lock()
+	live := len(srv.txns)
+	srv.txnMu.Unlock()
+	if live != 0 {
+		return fmt.Errorf("%d txn handles leaked after commit", live)
 	}
-	if err := kvs2.CheckInvariants(); err != nil {
-		t.Fatalf("point %d: %v", point, err)
-	}
-
-	_, applied := kvs2.Get(201)
-	if !crashed && !applied {
-		t.Fatalf("point %d: commit acked but not applied", point)
-	}
-	for _, k := range ackedKeys {
-		want := []byte(fmt.Sprintf("acked-%d", k))
-		switch {
-		case applied && k == 2:
-			want = []byte("overwritten")
-		case applied && (k == 5 || k == 9):
-			if v, ok := kvs2.Get(k); ok {
-				t.Fatalf("point %d: txn applied but deleted key %d survives as %q", point, k, v)
-			}
-			continue
-		}
-		v, ok := kvs2.Get(k)
-		if !ok {
-			t.Fatalf("point %d: acked key %d lost (txn applied: %v)", point, k, applied)
-		}
-		if !bytes.Equal(v, want) {
-			t.Fatalf("point %d: acked key %d = %q, want %q", point, k, v, want)
-		}
-	}
-	for _, k := range []uint64{201, 202, 203} {
-		_, ok := kvs2.Get(k)
-		if ok != applied {
-			t.Fatalf("point %d: txn torn: key 201 present=%v but key %d present=%v",
-				point, applied, k, ok)
-		}
-	}
-	return !crashed
+	return nil
 }
+
+func (r *txnRun) Check(kvs *kv.Store, crashed bool) error { return r.md.Check(kvs) }
 
 // TestTxnEndToEnd drives the interactive-transaction surface over real
 // TCP: read-your-writes inside the handle, invisibility before commit,
