@@ -31,10 +31,11 @@ func (x *Txn) WaitDurable() { x.tm.WaitDurable(x.ticket, x.span) }
 // the sequence is: make all the transaction's updates durable, fence, write
 // the END record, force it, then clear the transaction's log records
 // (applying any deferred DELETE deallocations on the way, END removed last)
-// — the ticket is already durable. Under NoForce only the END record is
-// written; checkpoints clear the log later, and without group commit the
-// END is forced here, so again the ticket is born durable. Only under
-// GroupCommit does the ticket name work still to do.
+// — the ticket is already durable. Under NoForce only the END is written,
+// and under Batch it is folded into the transaction's last record when it
+// can be (appendEnd); checkpoints clear the log later, and without group
+// commit the END is forced here, so again the ticket is born durable. Only
+// under GroupCommit does the ticket name work still to do.
 //
 // Only the transaction's own shard is locked — reached directly through
 // the handle — so commits on different shards proceed in parallel.
@@ -68,9 +69,11 @@ func (x *Txn) Publish() (Ticket, error) {
 		tm.mem.Fence()
 		pc.mark(obs.PhaseFlushFence)
 	}
-	// The END record joins the log without forcing a flush of its own;
-	// durability comes from the explicit force below (per-commit flush) or
-	// from a group-commit round flush, which WaitDurable finds or leads.
+	// The END joins the log — folded into the transaction's last record
+	// while that waits for its group flush (appendEnd) — without forcing a
+	// flush of its own; durability comes from the explicit force below
+	// (per-commit flush) or from a group-commit round flush, which
+	// WaitDurable finds or leads.
 	// The publish hook fires strictly AFTER the END is in the shard log and
 	// strictly BEFORE any flush: in-place writes were visible all along,
 	// but latches that gate dependent writers (the kv write path) must only
@@ -78,7 +81,7 @@ func (x *Txn) Publish() (Ticket, error) {
 	// that is what makes shard-pinned pipelining (BeginOn) crash-consistent
 	// — and must never stay held across a fence.
 	x.ticket = Ticket{Shard: sh.idx, Seq: sh.endSeq.Add(1)}
-	tm.appendShard(sh, x, rlog.Fields{Txn: x.id, Type: rlog.TypeEnd}, false)
+	tm.appendEnd(sh, x)
 	pc.mark(obs.PhaseLogAppend)
 	x.firePublish()
 	pc.mark(obs.PhasePublish)
@@ -285,7 +288,7 @@ func (x *Txn) publishRedoOnly(keepLog bool) Ticket {
 	x.ticket = Ticket{Shard: sh.idx, Seq: sh.endSeq.Add(1)}
 	if tm.cfg.Policy == Force {
 		pc.mark(obs.PhaseLogAppend) // the span + DELETE records above
-		tm.appendShard(sh, x, rlog.Fields{Txn: x.id, Type: rlog.TypeEnd}, true)
+		tm.appendEnd(sh, x)
 		tm.forceLogShard(sh)
 		tm.mem.Fence()
 		pc.mark(obs.PhaseFlushFence) // END and its covering force
@@ -296,9 +299,9 @@ func (x *Txn) publishRedoOnly(keepLog bool) Ticket {
 		tm.mem.Fence()
 		pc.mark(obs.PhasePublish)
 	} else {
-		tm.appendShard(sh, x, rlog.Fields{Txn: x.id, Type: rlog.TypeEnd}, !gc)
+		tm.appendEnd(sh, x)
 		if !gc {
-			sh.durable.Store(sh.endSeq.Load()) // the END forced its own group flush
+			tm.forceLogShard(sh) // the commit's own group flush
 		}
 		pc.mark(obs.PhaseLogAppend) // every record incl. END (+ group flush)
 		for _, a := range addrs {
@@ -339,7 +342,7 @@ func (x *Txn) CommitKeepLog() error {
 	}
 	// Same ordering as Publish: END in the log, then the hook, then the
 	// per-commit flush (no group rounds on this path).
-	tm.appendShard(sh, x, rlog.Fields{Txn: x.id, Type: rlog.TypeEnd}, false)
+	tm.appendEnd(sh, x)
 	x.firePublish()
 	tm.forceLogShard(sh)
 	x.retireCommit(contended)

@@ -396,10 +396,10 @@ type Txn struct {
 	// also uses statusAborted for a loser found mid-rollback.
 	status  status
 	aborted bool // finished by rollback: DELETE records must not free
-	// lastLSN and lastRec are the tail of the two-layer record chain (the
-	// newest record's LSN and address); one-layer logging keeps neither.
-	lastLSN uint64
-	lastRec uint64
+	// last is the transaction's newest record: the tail of the two-layer
+	// record chain, and under one-layer logging the record a commit folds
+	// its END into (appendEnd).
+	last rlog.Ref
 	// buf is the RedoOnly private write set; nil under UndoRedo.
 	buf *redoBuf
 

@@ -424,3 +424,74 @@ func TestRedoOnlyCrashMatrix(t *testing.T) {
 		})
 	}
 }
+
+// foldedEnds: t1 and t2 each write one span on the same shard and commit,
+// t3's span stays in flight. t2's span goes durable at a checkpoint before
+// t2 commits, so its END must be a record of its own; t1 writes after the
+// checkpoint, with t3's span appended behind its own, so its END folds into
+// a pending record that is not the log's newest. After recovery each is
+// all-or-none, t1 and t2 all new once WaitDurable returned, t3 all old.
+type foldedEnds struct {
+	rs    []region
+	acked [2]bool
+}
+
+func (w *foldedEnds) Run(o opened, arm func()) error {
+	arm()
+	tm := o.tm
+	t1, t2, t3 := tm.Begin(), tm.Begin(), tm.Begin()
+	if err := t2.WriteBytes(w.rs[1].base, w.rs[1].image()); err != nil {
+		return err
+	}
+	tm.Checkpoint()
+	for i, x := range []*Txn{t1, t3} {
+		r := w.rs[2*i]
+		if err := x.WriteBytes(r.base, r.image()); err != nil {
+			return err
+		}
+	}
+	var tickets [2]Ticket
+	for i, x := range []*Txn{t1, t2} {
+		before := tm.Stats().Records
+		tk, err := x.Publish()
+		if err != nil {
+			return err
+		}
+		if logged, want := tm.Stats().Records-before, int64(i); logged != want {
+			return fmt.Errorf("t%d's commit logged %d records, want %d", i+1, logged, want)
+		}
+		tickets[i] = tk
+	}
+	for i, tk := range tickets {
+		tm.WaitDurable(tk, nil)
+		w.acked[i] = true
+	}
+	return nil
+}
+
+func (w *foldedEnds) Check(o opened, crashed bool) error {
+	m := o.tm.Mem()
+	for i, r := range w.rs {
+		if err := r.allOrNone(m, i < 2 && w.acked[i], i == 2); err != nil {
+			return err
+		}
+	}
+	return usable(o.tm, w.rs[0])
+}
+
+// TestFoldedEndCrashMatrix crashes commits whose END is folded into their
+// last record, beside one whose END could not fold, before every durable
+// operation in turn, with and without group commit: a folded END goes
+// durable with its record or not at all, and recovery counts it as the END.
+func TestFoldedEndCrashMatrix(t *testing.T) {
+	for _, gc := range []bool{false, true} {
+		cfg := Config{Policy: NoForce, Layers: OneLayer, LogKind: rlog.Batch,
+			BucketSize: 16, GroupSize: 4, GroupCommit: gc, GroupCommitWindow: -1, RootBase: rootBase}
+		t.Run(cfg.String()+fmt.Sprintf("/gc=%v", gc), func(t *testing.T) {
+			t.Parallel()
+			var rs []region
+			crashtest.Explore(t, crashCase(cfg, func(a *pmem.Allocator) { rs = regions(a, 3, 10, 20, 30) },
+				func() crashtest.Model[opened] { return &foldedEnds{rs: rs} }))
+		})
+	}
+}

@@ -238,19 +238,33 @@ func (tm *TM) appendShard(sh *logShard, x *Txn, f rlog.Fields, end bool) (flushe
 	if tm.cfg.Layers == TwoLayer {
 		// The record's back-chain pointer is set off-line, before the
 		// record is published in the index.
-		f.UndoNext = x.lastLSN
-		f.PrevTxn = x.lastRec
+		f.UndoNext = x.last.LSN()
+		f.PrevTxn = x.last.Addr
 		rec := rlog.Alloc(tm.a, f)
 		sh.logBytes.Add(int64(rec.Size()))
 		tm.tree.InsertRecord(x.id, rec.Addr)
-		x.lastLSN, x.lastRec = f.LSN, rec.Addr
+		x.last = rlog.Ref{Addr: rec.Addr, Hdr: f.Header()}
 		return true
 	}
-	_, flushed = sh.log.AppendFields(f, end)
+	x.last, flushed = sh.log.AppendFields(f, end)
 	if flushed && tm.cfg.LogKind == rlog.Batch {
 		sh.flushes.Add(1)
 	}
 	return flushed
+}
+
+// appendEnd ends a committing transaction in its shard log: its END is
+// folded into its newest record while that record still waits for its
+// Batch group flush (rlog.Log.FoldEnd), so a commit whose last write is
+// still unflushed costs no record and no cell of its own. Otherwise — a
+// transaction that logged nothing, a record a flush already covered (under
+// Force always: the commit forces the log first), the two-layer chain, the
+// unbatched kinds — an END record joins the log. Callers hold sh.mu.
+func (tm *TM) appendEnd(sh *logShard, x *Txn) {
+	if tm.cfg.Layers == OneLayer && sh.log.FoldEnd(x.last) {
+		return
+	}
+	tm.appendShard(sh, x, rlog.Fields{Txn: x.id, Type: rlog.TypeEnd}, false)
 }
 
 // applyShard applies a logged user update according to policy and log

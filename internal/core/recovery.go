@@ -202,8 +202,9 @@ func (tm *TM) appendTxn(x *Txn, f rlog.Fields, end bool) (flushed bool) {
 }
 
 // classify folds one record into a transaction table (§4.5's analysis
-// rules): END → finished; ROLLBACK without END → mid-abort; otherwise
-// running. It returns updated maxLSN/maxTid seeds.
+// rules): END, or any record with an END folded in → finished; ROLLBACK
+// without END → mid-abort; otherwise running. It returns updated
+// maxLSN/maxTid seeds.
 func classify(table map[uint64]*Txn, r rlog.Record, maxLSN, maxTid uint64) (uint64, uint64) {
 	if r.LSN() > maxLSN {
 		maxLSN = r.LSN()
@@ -220,12 +221,12 @@ func classify(table map[uint64]*Txn, r rlog.Record, maxLSN, maxTid uint64) (uint
 		x = &Txn{id: tid}
 		table[tid] = x
 	}
-	switch r.Type() {
-	case rlog.TypeRollback:
+	switch {
+	case r.Ends():
+		x.status = statusFinished
+	case r.Type() == rlog.TypeRollback:
 		x.status = statusAborted
 		x.aborted = true
-	case rlog.TypeEnd:
-		x.status = statusFinished
 	}
 	return maxLSN, maxTid
 }
@@ -251,10 +252,9 @@ func (tm *TM) analysis(rs *RecoveryStats) ([]rlog.Record, [][]rlog.Record) {
 				maxLSN, maxTid = classify(tm.table, r, maxLSN, maxTid)
 				cur = r.PrevTxn()
 			}
-			// The chain tail is authoritative for lastRec.
+			// The chain tail is authoritative for last.
 			if x := tm.table[c.Txn]; x != nil {
-				x.lastRec = c.Tail
-				x.lastLSN = rlog.View(tm.mem, c.Tail).LSN()
+				x.last = rlog.View(tm.mem, c.Tail).Ref()
 			}
 		}
 		tm.seedCounters(maxLSN, maxTid, rs)

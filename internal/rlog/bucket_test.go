@@ -73,11 +73,13 @@ type logModel struct {
 	appended map[uint64]Fields // by LSN, entered before the append starts
 	durable  map[uint64]bool   // the log has reported these flushed
 	cleared  map[uint64]bool   // a clearing pass or Reset was told to drop these
+	ended    map[uint64]bool   // FoldEnd folded an END into these
 	lsn      uint64
+	last     Ref // the record AppendFields returned last
 }
 
 func newLogModel() *logModel {
-	return &logModel{appended: map[uint64]Fields{}, durable: map[uint64]bool{}, cleared: map[uint64]bool{}}
+	return &logModel{appended: map[uint64]Fields{}, durable: map[uint64]bool{}, cleared: map[uint64]bool{}, ended: map[uint64]bool{}}
 }
 
 func (md *logModel) flushed(yes bool) {
@@ -92,8 +94,16 @@ func (md *logModel) append(l *Log, shape, words int, end bool) {
 	md.lsn++
 	f := shapedFields(md.lsn, shape, words)
 	md.appended[f.LSN] = f
-	_, flushed := l.AppendFields(f, end)
+	var flushed bool
+	md.last, flushed = l.AppendFields(f, end)
 	md.flushed(flushed)
+}
+
+// fold folds an END into the record appended last, if the log can.
+func (md *logModel) fold(l *Log) {
+	if l.FoldEnd(md.last) {
+		md.ended[md.last.LSN()] = true
+	}
 }
 
 // appendOwnBlock appends the way the parent commit did: the record in a
@@ -116,9 +126,10 @@ func (md *logModel) clear(l *Log, drop func(lsn uint64) bool) {
 }
 
 // check holds a reopened log against the model: every live record is one
-// that was appended and decodes to what was appended, in LSN order; every
-// record reported durable and not cleared is there; no two overlap; each
-// bucket's rebuilt bump lies past its last live record and inside its block.
+// that was appended and decodes to what was appended, in LSN order, ended
+// exactly when an END was folded into it; every record reported durable and
+// not cleared is there; no two overlap; each bucket's rebuilt bump lies past
+// its last live record and inside its block.
 func (md *logModel) check(l *Log) error {
 	type extent struct{ lo, hi uint64 }
 	var extents []extent
@@ -135,6 +146,10 @@ func (md *logModel) check(l *Log) error {
 		if err := sameRecord(r, f); err != nil {
 			it.Close()
 			return err
+		}
+		if r.Ends() != md.ended[r.LSN()] {
+			it.Close()
+			return fmt.Errorf("record %v: ended %v, but FoldEnd reported %v", r, r.Ends(), md.ended[r.LSN()])
 		}
 		if r.LSN() <= last {
 			it.Close()
@@ -178,19 +193,23 @@ func (md *logModel) check(l *Log) error {
 
 // bucketScript drives every branch of the bucket-resident layout: buckets
 // that run out of cells, buckets that run out of area, a span larger than a
-// whole area, a record in a block of its own amid the rest, a clearing pass
-// that frees head buckets, one that empties the log and recycles the tail
-// bucket, appends over the recycled area, and Reset.
+// whole area, a record in a block of its own amid the rest, ENDs folded into
+// pending records and refused by flushed ones, a clearing pass that frees
+// head buckets, one that empties the log and recycles the tail bucket,
+// appends over the recycled area, and Reset.
 func bucketScript(l *Log, a *pmem.Allocator, md *logModel) {
 	for i := 0; i < 5; i++ { // 56-byte records: the cells run out first
 		md.append(l, 0, 0, i == 2)
 	}
 	md.append(l, 1, 8, false) // 184-byte spans: the area runs out first
+	md.fold(l)
 	md.append(l, 1, 8, false)
 	md.append(l, 2, 12, true)
+	md.fold(l)                 // flushed: refused
 	md.append(l, 1, 40, false) // 696 bytes: larger than a fresh area
 	md.appendOwnBlock(l, a, 1, 3)
 	md.append(l, 2, 5, false)
+	md.fold(l)
 	md.append(l, 0, 0, true)
 	md.flushed(l.ForceFlush())
 	md.clear(l, func(lsn uint64) bool { return lsn <= 9 && lsn != 7 })
@@ -199,12 +218,14 @@ func bucketScript(l *Log, a *pmem.Allocator, md *logModel) {
 	md.clear(l, func(uint64) bool { return true }) // empties the log: tail recycle
 	for i := 0; i < 3; i++ {
 		md.append(l, i%3, 4, i == 2) // over the recycled area
+		md.fold(l)
 	}
 	for lsn := range md.appended {
 		md.cleared[lsn] = true
 	}
 	l.Reset(true)
 	md.append(l, 1, 2, false)
+	md.fold(l)
 	md.append(l, 0, 0, true)
 }
 
@@ -247,6 +268,9 @@ func (r *bucketRun) Check(l *Log, crashed bool) error {
 	if err := md.check(l); err != nil {
 		return fmt.Errorf("after recovery: %v", err)
 	}
+	if !crashed && len(md.ended) < 3 {
+		return fmt.Errorf("the script folded %d ENDs, want at least 3", len(md.ended))
+	}
 	// Whatever survived is durable now and must outlive new appends; the
 	// rest is gone for good.
 	for lsn := range md.appended {
@@ -257,6 +281,7 @@ func (r *bucketRun) Check(l *Log, crashed bool) error {
 	}
 	for i := 0; i < 6; i++ {
 		md.append(l, i%3, 5, false)
+		md.fold(l)
 	}
 	md.flushed(l.ForceFlush())
 	if err := md.check(l); err != nil {
@@ -282,7 +307,7 @@ func linkParentBucket(l *Log) {
 	l.list.append(bucket)
 	st := &bucketState{bump: l.areaBase(bucket), end: bucket + uint64(l.a.BlockSize(bucket))}
 	l.states[bucket] = st
-	l.pendingFrom, l.pendingArea, l.pendingOwn = 0, st.bump, false
+	l.pendingFrom, l.pendingArea, l.pendingEnd, l.pendingOwn = 0, st.bump, st.end, false
 }
 
 // TestParentLayoutLogUpgrades builds a log the way the parent commit wrote
@@ -365,6 +390,102 @@ func TestParentLayoutLogUpgrades(t *testing.T) {
 	l2.Reset(true)
 	if got := a2.HeapLive(); got != empty {
 		t.Fatalf("heap holds %d B after Reset, want the empty log's %d", got, empty)
+	}
+}
+
+// TestFoldEnd: an END folds into a record only while the record waits for
+// its group flush, and then goes durable with it or not at all; a record a
+// flush has covered — by a forced flush, a full group or a closed bucket —
+// refuses it, as do the kinds whose records are durable on append. A log
+// stamped by the layout before folding opens and is stamped anew, so the
+// older binary refuses it from then on.
+func TestFoldEnd(t *testing.T) {
+	m, a := smallEnv()
+	cfg := Config{Kind: Batch, BucketSize: 4, GroupSize: 2, RootSlot: testSlot}
+	l := New(a, cfg)
+	m.StoreNT64(l.hdr+lhKind, uint64(Batch)|batchAreaStamp) // the layout before folding
+	reopen := func() {
+		t.Helper()
+		if err := m.Crash(); err != nil {
+			t.Fatal(err)
+		}
+		a2, err := pmem.Open(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l, err = Open(a2, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	md := newLogModel()
+	fold := func(want bool) {
+		t.Helper()
+		if got := l.FoldEnd(md.last); got != want {
+			t.Fatalf("FoldEnd(lsn %d) = %v, want %v", md.last.LSN(), got, want)
+		}
+		if want {
+			md.ended[md.last.LSN()] = true
+		}
+	}
+
+	md.append(l, 1, 2, false)
+	fold(true)
+	reopen() // before the group flush: record and END are lost together
+	if err := md.check(l); err != nil || !l.Empty() {
+		t.Fatalf("a pending record survived the crash (%d records): %v", l.Len(), err)
+	}
+	md.cleared[1] = true // gone for good
+	if w := m.Load64(l.hdr + lhKind); w != kindWord(Batch) {
+		t.Fatalf("kind word %#x after Open, want the folded-END stamp %#x", w, kindWord(Batch))
+	}
+
+	md.append(l, 1, 2, false) // first of its group: the END folds
+	fold(true)
+	md.append(l, 0, 0, false) // completes the group: flushed on append
+	fold(false)
+	md.append(l, 2, 3, false)
+	md.flushed(l.ForceFlush())
+	fold(false)
+	md.append(l, 0, 0, false) // fills the bucket: flushed on append
+	for i := 0; i < 4; i++ {
+		md.append(l, 0, 0, false) // a second bucket
+	}
+	closed := md.last
+	md.clear(l, func(lsn uint64) bool { return lsn <= 5 }) // frees the first
+	md.append(l, 1, 2, false)                              // a third, in the first one's block
+	if md.last.Addr > closed.Addr {
+		t.Fatalf("the new tail bucket lies above the closed one (%#x > %#x): the scenario wants it below", md.last.Addr, closed.Addr)
+	}
+	if l.FoldEnd(closed) {
+		t.Fatal("FoldEnd folded into a record of a closed bucket above the tail")
+	}
+	if l.FoldEnd(Ref{}) {
+		t.Fatal("FoldEnd folded into the zero Ref")
+	}
+	fold(true)
+	md.flushed(l.ForceFlush())
+	reopen()
+	if err := md.check(l); err != nil {
+		t.Fatal(err)
+	}
+	ended := 0
+	it := l.Begin()
+	for it.Next() {
+		if it.Record().Ends() {
+			ended++
+		}
+	}
+	it.Close()
+	if ended != 1 || l.Len() != 5 || l.Buckets() != 2 {
+		t.Fatalf("%d of %d records in %d buckets ended, want 1 of 5 in 2", ended, l.Len(), l.Buckets())
+	}
+
+	for _, kind := range []Kind{Simple, Optimized} {
+		_, a := smallEnv()
+		l := New(a, Config{Kind: kind, RootSlot: testSlot})
+		if rec, _ := l.AppendFields(shapedFields(1, 1, 2), false); l.FoldEnd(rec) {
+			t.Fatalf("%v: FoldEnd folded into a record durable on append", kind)
+		}
 	}
 }
 
@@ -509,8 +630,9 @@ func TestClearScanTombstonesEndLast(t *testing.T) {
 }
 
 // BenchmarkAppendCommit is the rlog row of the cost ledger: what one small
-// commit — a 2-word span, its END, the flush — bills the device through the
-// log alone. core.BenchmarkCommit is the same commit one layer up.
+// commit — a 2-word span with its END folded in, the flush — bills the
+// device through the log alone. core.BenchmarkCommit is the same commit one
+// layer up.
 func BenchmarkAppendCommit(b *testing.B) {
 	m := nvm.New(nvm.Config{Size: 64 << 20, TrackPersistence: true})
 	l := New(pmem.Format(m), Config{Kind: Batch, RootSlot: testSlot})
@@ -522,9 +644,9 @@ func BenchmarkAppendCommit(b *testing.B) {
 	for i := 0; i < b.N; {
 		d0, l0 := m.Stats(), l.AppendedBytes()
 		for end := min(b.N, i+2048); i < end; i++ {
-			lsn := uint64(2*i + 1)
-			l.AppendFields(Fields{LSN: lsn, Txn: lsn, Type: TypeUpdate, Flags: FlagUndoable, Addr: 4096, OldSpan: span, NewSpan: span}, false)
-			l.AppendFields(Fields{LSN: lsn + 1, Txn: lsn, Type: TypeEnd}, true)
+			lsn := uint64(i + 1)
+			rec, _ := l.AppendFields(Fields{LSN: lsn, Txn: lsn, Type: TypeUpdate, Flags: FlagUndoable, Addr: 4096, OldSpan: span, NewSpan: span}, false)
+			l.FoldEnd(rec)
 			l.ForceFlush()
 		}
 		b.StopTimer()

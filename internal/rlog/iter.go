@@ -341,7 +341,7 @@ func (l *Log) Reset(freeRecords bool) {
 	l.list = adll{mem: m, a: l.a, hdr: hdr + lhADLL}
 	l.states = make(map[uint64]*bucketState)
 	l.live, l.bucketBytes = 0, 0
-	l.pendingFrom, l.pendingArea, l.pendingOwn = 0, 0, false
+	l.pendingFrom, l.pendingArea, l.pendingEnd, l.pendingOwn = 0, 0, 0, false
 
 	// Step (c): deallocate the old structure. A crash mid-way only leaks.
 	for node := oldHead; node != nvm.Null; {

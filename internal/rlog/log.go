@@ -62,15 +62,22 @@ const (
 	lhSize       = lhADLL + adllHeaderLen
 )
 
-// batchAreaStamp is or-ed into a Batch log's kind word: its buckets carry
-// record areas. A binary from before that layout reads the stamped word as
-// an unknown kind and refuses the log, where it would otherwise free
-// "record blocks" in the middle of a bucket.
-const batchAreaStamp = 1 << 8
+// Stamps or-ed into a Batch log's kind word, one per layout change a reader
+// must know about. A binary from before a stamp reads the stamped word as an
+// unknown kind and refuses the log, where it would otherwise
+//   - batchAreaStamp (buckets carry record areas): free "record blocks" in
+//     the middle of a bucket;
+//   - foldedEndStamp (a record may carry its transaction's END, FlagEnd):
+//     take a committed transaction for a loser and undo it.
+const (
+	batchAreaStamp = 1 << 8
+	foldedEndStamp = 1 << 9
+	stamps         = batchAreaStamp | foldedEndStamp
+)
 
 func kindWord(k Kind) uint64 {
 	if k == Batch {
-		return uint64(k) | batchAreaStamp
+		return uint64(k) | stamps
 	}
 	return uint64(k)
 }
@@ -166,10 +173,12 @@ type Log struct {
 	// bucketBytes totals the payload bytes of the linked bucket blocks.
 	bucketBytes int64
 	// Batch bookkeeping: first cell index and first area byte of the active
-	// bucket not yet covered by a group flush, and whether any pending cell
-	// points at a block of its own (Append): those flush one by one.
+	// bucket not yet covered by a group flush, the first byte past that
+	// bucket, and whether any pending cell points at a block of its own
+	// (Append): those flush one by one.
 	pendingFrom int
 	pendingArea uint64
+	pendingEnd  uint64
 	pendingOwn  bool
 	// appendedBytes totals the footprint of every record ever appended
 	// (headers plus span payloads) — the write-path log volume the
@@ -197,9 +206,10 @@ func New(a *pmem.Allocator, cfg Config) *Log {
 // structural recovery of §3.2 (redo the one pending ADLL operation) and
 // rebuilds the volatile bucket state from the durable image, honouring each
 // bucket's persisted index in Batch mode. A Batch log written before
-// buckets had record areas opens as it is — every record's owner is decided
-// by its address — and is stamped, because from here on its new buckets
-// carry areas.
+// buckets had record areas, or before ENDs were folded, opens as it is —
+// every record's owner is decided by its address, and a record without
+// FlagEnd reads as before — and is stamped, because from here on its new
+// buckets carry areas and its commits fold their ENDs.
 func Open(a *pmem.Allocator, cfg Config) (*Log, error) {
 	cfg = cfg.withDefaults()
 	m := a.Mem()
@@ -208,8 +218,8 @@ func Open(a *pmem.Allocator, cfg Config) (*Log, error) {
 		return nil, fmt.Errorf("rlog: root slot %d holds no log", cfg.RootSlot)
 	}
 	w := m.Load64(hdr + lhKind)
-	if w != kindWord(cfg.Kind) && w != uint64(cfg.Kind) {
-		return nil, fmt.Errorf("rlog: log at slot %d has kind %v, config wants %v", cfg.RootSlot, Kind(w&^batchAreaStamp), cfg.Kind)
+	if w&^stamps != uint64(cfg.Kind) {
+		return nil, fmt.Errorf("rlog: log at slot %d has kind %v, config wants %v", cfg.RootSlot, Kind(w&^stamps), cfg.Kind)
 	}
 	if bs := int(m.Load64(hdr + lhBucketSize)); bs != cfg.BucketSize {
 		return nil, fmt.Errorf("rlog: log at slot %d has bucket size %d, config wants %d", cfg.RootSlot, bs, cfg.BucketSize)
@@ -291,10 +301,10 @@ func (l *Log) rebuild() {
 		l.live += st.live
 		l.bucketBytes += int64(st.end - bucket)
 	}
-	l.pendingFrom, l.pendingArea, l.pendingOwn = 0, 0, false
+	l.pendingFrom, l.pendingArea, l.pendingEnd, l.pendingOwn = 0, 0, 0, false
 	if tail := l.list.tail(); tail != nvm.Null && l.cfg.Kind == Batch {
 		st := l.states[l.list.element(tail)]
-		l.pendingFrom, l.pendingArea = st.next, st.bump
+		l.pendingFrom, l.pendingArea, l.pendingEnd = st.next, st.bump, st.end
 	}
 }
 
@@ -366,26 +376,52 @@ func (l *Log) Append(rec uint64, end bool) (flushed bool) {
 }
 
 // AppendFields builds the record f describes and inserts it at the log
-// tail, returning its address; end and flushed are as for Append. Under
-// Batch the record is written with cached stores at the active bucket's
-// bump position — no allocation, no block header, cache lines shared with
-// its neighbours — and becomes durable with its cell's group flush; its
-// memory belongs to the bucket and is released when the bucket is. The
-// other kinds keep one durable block per record, as the paper draws them.
-func (l *Log) AppendFields(f Fields, end bool) (rec uint64, flushed bool) {
+// tail, returning its Ref; end and flushed are as for Append. Under Batch
+// the record is written with cached stores at the active bucket's bump
+// position — no allocation, no block header, cache lines shared with its
+// neighbours — and becomes durable with its cell's group flush; its memory
+// belongs to the bucket and is released when the bucket is. The other kinds
+// keep one durable block per record, as the paper draws them.
+func (l *Log) AppendFields(f Fields, end bool) (rec Ref, flushed bool) {
+	rec.Hdr = f.Header()
 	if l.cfg.Kind != Batch {
-		rec = Alloc(l.a, f).Addr
-		return rec, l.Append(rec, end)
+		rec.Addr = Alloc(l.a, f).Addr
+		return rec, l.Append(rec.Addr, end)
 	}
 	size := f.size()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	bucket, st := l.activeBucket(size)
-	rec = st.bump
-	writeFields(l.mem, rec, f)
+	rec.Addr = st.bump
+	writeFields(l.mem, rec.Addr, f)
 	st.bump += uint64(size)
 	l.appendedBytes.Add(int64(size))
-	return rec, l.publishLocked(bucket, st, rec, end)
+	return rec, l.publishLocked(bucket, st, rec.Addr, end)
+}
+
+// FoldEnd makes rec, a record AppendFields returned, its transaction's END
+// in place of an END record of its own, and reports whether it could. It
+// can while rec waits for its Batch group flush: one cached store sets
+// FlagEnd in its header, and the flush that makes the record durable —
+// published by one persisted-index store — makes the END durable with it,
+// so recovery finds the record ended or not at all. Records appended after
+// rec in the same group go durable in the same flush, so a folded END is
+// never durable without every END appended before it. Once a flush has
+// covered rec, or under the other kinds, whose records are durable on
+// append, FoldEnd changes nothing and the caller appends an END record.
+// rec must not have been cleared: a recycled area may hold another record
+// at its address.
+func (l *Log) FoldEnd(rec Ref) bool {
+	if l.cfg.Kind != Batch {
+		return false
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if rec.Addr < l.pendingArea || rec.Addr >= l.pendingEnd {
+		return false
+	}
+	l.mem.Store64(rec.Addr+recHeader, rec.Hdr|FlagEnd)
+	return true
 }
 
 // publishLocked stores rec into the active bucket's next cell.
@@ -486,6 +522,6 @@ func (l *Log) activeBucket(need int) (uint64, *bucketState) {
 	st := &bucketState{bump: l.areaBase(bucket), end: bucket + uint64(l.a.BlockSize(bucket))}
 	l.states[bucket] = st
 	l.bucketBytes += int64(st.end - bucket)
-	l.pendingFrom, l.pendingArea, l.pendingOwn = 0, st.bump, false
+	l.pendingFrom, l.pendingArea, l.pendingEnd, l.pendingOwn = 0, st.bump, st.end, false
 	return bucket, st
 }

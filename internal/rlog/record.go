@@ -78,6 +78,10 @@ const (
 	// count — and the payload starts right after it, roughly halving the
 	// footprint of an equally wide undo/redo span.
 	FlagRedoSpan = 1 << 2
+	// FlagEnd folds an END into the record that carries it: the record is
+	// also its transaction's END (Log.FoldEnd), so a commit whose last
+	// record was still unflushed logs no END record of its own.
+	FlagEnd = 1 << 3
 )
 
 // RecordSize is the fixed record footprint: 7 words. In a block of its own,
@@ -165,6 +169,27 @@ func AllocDeferred(a *pmem.Allocator, f Fields) Record {
 	return r
 }
 
+// Header returns the header word of the record f describes: LSN, type and
+// flags, the shape flag of a span included.
+func (f *Fields) Header() uint64 {
+	flags := uint64(f.Flags)
+	switch {
+	case len(f.OldSpan) > 0:
+		flags |= FlagSpan
+	case len(f.NewSpan) > 0:
+		flags |= FlagRedoSpan
+	}
+	return f.LSN<<16 | uint64(f.Type)<<8 | flags&0xff
+}
+
+// Ref names a record by its address and header word: enough to chain to it
+// (the two-layer back-pointers) and to fold an END into it (Log.FoldEnd)
+// without reading it back.
+type Ref struct{ Addr, Hdr uint64 }
+
+// LSN returns the referenced record's LSN.
+func (r Ref) LSN() uint64 { return r.Hdr >> 16 }
+
 // size returns the footprint of the record f describes, rejecting span
 // images of unequal length.
 func (f *Fields) size() int {
@@ -183,11 +208,10 @@ func (f *Fields) size() int {
 
 // writeFields encodes f into the f.size() bytes at addr with cached stores.
 func writeFields(m *nvm.Memory, addr uint64, f Fields) {
+	m.Store64(addr+recHeader, f.Header())
 	if n := len(f.NewSpan); n > 0 && len(f.OldSpan) == 0 {
 		// Redo-only span: truncated header, then the after-image. The
 		// trailing header slots are NOT stored — their offsets are payload.
-		f.Flags |= FlagRedoSpan
-		m.Store64(addr+recHeader, f.LSN<<16|uint64(f.Type)<<8|uint64(f.Flags)&0xff)
 		m.Store64(addr+recTxn, f.Txn)
 		m.Store64(addr+recAddr, f.Addr)
 		m.Store64(addr+recOld, uint64(n))
@@ -197,10 +221,8 @@ func writeFields(m *nvm.Memory, addr uint64, f Fields) {
 		return
 	}
 	if n := len(f.OldSpan); n > 0 {
-		f.Flags |= FlagSpan
 		f.Old, f.New = uint64(n), 0
 	}
-	m.Store64(addr+recHeader, f.LSN<<16|uint64(f.Type)<<8|uint64(f.Flags)&0xff)
 	m.Store64(addr+recTxn, f.Txn)
 	m.Store64(addr+recAddr, f.Addr)
 	m.Store64(addr+recOld, f.Old)
@@ -226,6 +248,16 @@ func (r Record) Type() Type { return Type(r.mem.Load64(r.Addr+recHeader) >> 8 & 
 
 // Flags returns the record flags.
 func (r Record) Flags() uint32 { return uint32(r.mem.Load64(r.Addr+recHeader) & 0xff) }
+
+// Ends reports whether the record ends its transaction: an END record, or
+// one that carries its transaction's END folded in (FlagEnd).
+func (r Record) Ends() bool {
+	h := r.mem.Load64(r.Addr + recHeader)
+	return Type(h>>8&0xff) == TypeEnd || h&FlagEnd != 0
+}
+
+// Ref returns the record's Ref.
+func (r Record) Ref() Ref { return Ref{r.Addr, r.mem.Load64(r.Addr + recHeader)} }
 
 // Undoable reports whether the record may be undone.
 func (r Record) Undoable() bool { return r.Flags()&FlagUndoable != 0 }
@@ -320,15 +352,19 @@ func (r Record) PrevTxn() uint64 { return r.mem.Load64(r.Addr + recPrevTxn) }
 
 // String renders the record for diagnostics.
 func (r Record) String() string {
+	typ := r.Type().String()
+	if r.Flags()&FlagEnd != 0 {
+		typ += "+END"
+	}
 	switch {
 	case r.IsRedoSpan():
 		return fmt.Sprintf("[lsn=%d txn=%d %s addr=%#x redospan=%d]",
-			r.LSN(), r.Txn(), r.Type(), r.Target(), r.Words())
+			r.LSN(), r.Txn(), typ, r.Target(), r.Words())
 	case r.IsSpan():
 		return fmt.Sprintf("[lsn=%d txn=%d %s addr=%#x span=%d undoNext=%d]",
-			r.LSN(), r.Txn(), r.Type(), r.Target(), r.Words(), r.UndoNext())
+			r.LSN(), r.Txn(), typ, r.Target(), r.Words(), r.UndoNext())
 	default:
 		return fmt.Sprintf("[lsn=%d txn=%d %s addr=%#x old=%d new=%d undoNext=%d]",
-			r.LSN(), r.Txn(), r.Type(), r.Target(), r.Old(), r.New(), r.UndoNext())
+			r.LSN(), r.Txn(), typ, r.Target(), r.Old(), r.New(), r.UndoNext())
 	}
 }
