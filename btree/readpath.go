@@ -45,19 +45,21 @@ func (t *Tree) validNode(addr uint64, n int) bool {
 	return addr != 0 && addr%8 == 0 && addr < size && size-addr >= uint64(n)
 }
 
-// readCount loads a node's record count clamped to the physical array
-// capacity (cap+1: inserts overflow one slot before splitting), so a torn
-// or scribbled meta word cannot send a loop past the allocation.
-func (t *Tree) readCount(n uint64, leaf bool) int {
-	c := t.count(n)
+// readMeta loads a node's meta word once and returns its leaf bit and its
+// record count clamped to the physical array capacity (cap+1: inserts
+// overflow one slot before splitting), so a torn or scribbled meta word
+// cannot send a loop past the allocation.
+func (t *Tree) readMeta(n uint64) (leaf bool, cnt int) {
+	meta := t.ld.Load64(n + nodeMeta)
+	leaf = meta&1 == 1
 	max := t.cfg.MaxKeys + 1
 	if leaf {
 		max = t.cfg.LeafCap + 1
 	}
-	if c < 0 || c > max {
-		return max
+	if c := meta >> 1; c < uint64(max) {
+		max = int(c)
 	}
-	return c
+	return leaf, max
 }
 
 // findPosIn is findPos with the caller-clamped count.
@@ -87,11 +89,12 @@ func (t *Tree) SeekRecord(k uint64) (addr uint64, ok bool) {
 		if !t.validNode(n, nodeKeys) {
 			return 0, false
 		}
-		if t.isLeaf(n) {
+		leaf, cnt := t.readMeta(n)
+		if leaf {
 			if !t.validNode(n, t.leafSize()) {
 				return 0, false
 			}
-			pos, eq := t.findPosIn(n, k, t.readCount(n, true))
+			pos, eq := t.findPosIn(n, k, cnt)
 			if !eq {
 				return 0, false
 			}
@@ -100,7 +103,7 @@ func (t *Tree) SeekRecord(k uint64) (addr uint64, ok bool) {
 		if !t.validNode(n, t.internalSize()) {
 			return 0, false
 		}
-		pos, eq := t.findPosIn(n, k, t.readCount(n, false))
+		pos, eq := t.findPosIn(n, k, cnt)
 		if eq {
 			pos++ // keys equal to the separator live in the right child
 		}
@@ -120,17 +123,18 @@ func (t *Tree) SeekRecord(k uint64) (addr uint64, ok bool) {
 // another retry.
 func (t *Tree) ScanRecords(from, to uint64, fn func(k, addr uint64) bool) bool {
 	n := t.root()
+	leaf, cnt := false, 0
 	for depth := 0; ; depth++ {
 		if depth >= maxReadDepth || !t.validNode(n, nodeKeys) {
 			return false
 		}
-		if t.isLeaf(n) {
+		if leaf, cnt = t.readMeta(n); leaf {
 			break
 		}
 		if !t.validNode(n, t.internalSize()) {
 			return false
 		}
-		pos, eq := t.findPosIn(n, from, t.readCount(n, false))
+		pos, eq := t.findPosIn(n, from, cnt)
 		if eq {
 			pos++
 		}
@@ -142,11 +146,22 @@ func (t *Tree) ScanRecords(from, to uint64, fn func(k, addr uint64) bool) bool {
 	// itself a word a racing writer may be mid-updating.)
 	maxSteps := t.mem.Size()/t.leafSize() + 2
 	for steps := 0; n != 0; steps++ {
-		if steps >= maxSteps || !t.validNode(n, t.leafSize()) || !t.isLeaf(n) {
+		if steps >= maxSteps || !t.validNode(n, t.leafSize()) {
 			return false
 		}
-		cnt := t.readCount(n, true)
-		for i := 0; i < cnt; i++ {
+		if steps > 0 {
+			leaf, cnt = t.readMeta(n)
+		}
+		if !leaf {
+			return false
+		}
+		i := 0
+		if steps == 0 {
+			// Keys below from sit only in the first leaf: search past them
+			// instead of loading each one.
+			i, _ = t.findPosIn(n, from, cnt)
+		}
+		for ; i < cnt; i++ {
 			k := t.key(n, i)
 			if k < from {
 				continue

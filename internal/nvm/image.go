@@ -3,6 +3,7 @@ package nvm
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 )
 
 // Durable-image serialization. A Memory's durable state can be captured and
@@ -30,6 +31,7 @@ func (m *Memory) PersistentImage() ([]byte, error) {
 	for i := 0; i < n; i++ {
 		binary.LittleEndian.PutUint64(buf[16+i*WordSize:], p[i])
 	}
+	runtime.KeepAlive(m) // p may be an anonymous mapping m's finalizer unmaps
 	return buf, nil
 }
 

@@ -123,6 +123,18 @@ func AppendFrame(dst []byte, id uint32, op byte, body []byte) []byte {
 	return append(dst, body...)
 }
 
+// BeginFrame appends a frame header whose length is left open, for a body
+// encoded straight into dst after it; EndFrame(dst, start) closes the
+// frame, where start was len(dst) before BeginFrame. The op/status byte is
+// dst[start+8].
+func BeginFrame(dst []byte, id uint32, op byte) []byte { return AppendFrame(dst, id, op, nil) }
+
+// EndFrame fills in the length of the frame that starts at dst[start:] and
+// runs to the end of dst.
+func EndFrame(dst []byte, start int) {
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+}
+
 // ReadFrame reads one frame. The returned body aliases a fresh buffer.
 func ReadFrame(r *bufio.Reader) (id uint32, op byte, body []byte, err error) {
 	var hdr [4]byte

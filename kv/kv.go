@@ -152,9 +152,9 @@ var (
 	ErrNotFound = errors.New("kv: no store published in root slot")
 )
 
-// readAttempts is how many optimistic attempts a Get or per-stripe Scan makes
-// before falling back to the stripe latch. The fallback bounds reader
-// latency under a write storm; see DESIGN.md §6.
+// readAttempts is how many optimistic attempts a Get, a Scan's walk of one
+// stripe, or a whole Scan makes before falling back to the latch. The
+// fallback bounds reader latency under a write storm; see DESIGN.md §6.
 const readAttempts = 8
 
 // latchBuckets sizes each stripe's leaf-latch table. 64 buckets comfortably
@@ -228,8 +228,9 @@ type Store struct {
 
 	compactions, compactMoved, compactReleased atomic.Int64
 
-	// recs recycles PublishPut's record images (*[]byte).
-	recs sync.Pool
+	// recs recycles PublishPut's record images (*[]byte); scratch recycles
+	// Scan's working lists (*scanScratch).
+	recs, scratch sync.Pool
 }
 
 // optimisticReadHook, when non-nil, runs between an optimistic traversal
@@ -832,60 +833,6 @@ func (s *Store) PublishDelete(key uint64, span *obs.Span) (bool, rewind.Ticket, 
 	return found, tk, err
 }
 
-// Pair is one key/value result.
-type Pair struct {
-	Key   uint64
-	Value []byte
-}
-
-// Scan returns up to limit pairs with keys in [from, to], globally sorted
-// by key; limit <= 0 means every pair in the range, however many (an
-// earlier revision silently capped "unlimited" at 1<<20 pairs, truncating
-// scans of larger stores with no error). Stripes are collected one at a
-// time — latch-free with per-stripe seqlock validation, falling back to
-// the latch like Get — and merged; the result is consistent per stripe,
-// not a global snapshot (concurrent writers may land between stripe
-// visits, as in any latch-striped map).
-func (s *Store) Scan(from, to uint64, limit int) []Pair {
-	s.scans.Add(1)
-	var out []Pair
-	for i := range s.stripes {
-		out = s.scanStripe(s.stripes[i], from, to, limit, out)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out
-}
-
-// scanSeqPollEvery is how many records an optimistic stripe scan collects
-// between seqlock polls: long walks over a mutating stripe abort early
-// instead of buffering a whole garbage pass.
-const scanSeqPollEvery = 64
-
-// scanStripe appends one stripe's pairs in [from, to] to out. Optimistic
-// attempts buffer the stripe's pairs and append them only after the
-// seqlock validates — a torn walk is discarded wholesale, so no caller
-// ever sees a record image a writer was mid-overwriting.
-func (s *Store) scanStripe(sp *stripe, from, to uint64, limit int, out []Pair) []Pair {
-	var buf []Pair
-	s.readStripe(sp, func(seq uint64) bool {
-		buf = buf[:0]
-		torn := false
-		complete := sp.tree.ScanRecords(from, to, func(k, addr uint64) bool {
-			buf = append(buf, Pair{Key: k, Value: s.readValue(addr)})
-			if len(buf)%scanSeqPollEvery == 0 && sp.seq.Load() != seq {
-				torn = true
-				return false
-			}
-			return limit <= 0 || len(buf) < limit
-		})
-		return complete && !torn
-	})
-	return append(out, buf...)
-}
-
 // Op is one Batch operation.
 type Op struct {
 	// Delete selects removal; otherwise the op is a put of Value.
@@ -970,7 +917,8 @@ type Stats struct {
 	Gets, Puts, Deletes, Scans, Batches int64
 	// ReadRetries counts optimistic read attempts discarded because a
 	// writer's seqlock window overlapped them; ReadFallbacks counts reads
-	// that exhausted Config.ReadRetries attempts and took the stripe latch.
+	// that exhausted their readAttempts optimistic attempts and took the
+	// latch.
 	ReadRetries, ReadFallbacks int64
 	// OverwriteFastPath counts Puts that took the non-structural
 	// per-record overwrite path; LeafLatchWaits counts leaf/header latch

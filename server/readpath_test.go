@@ -6,6 +6,8 @@ package server
 // protocol's paging.
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"net"
 	"strings"
@@ -14,6 +16,7 @@ import (
 
 	"github.com/rewind-db/rewind"
 	"github.com/rewind-db/rewind/client"
+	"github.com/rewind-db/rewind/internal/wire"
 	"github.com/rewind-db/rewind/kv"
 )
 
@@ -109,5 +112,54 @@ func TestScanUnlimitedPaginates(t *testing.T) {
 	// Positive limits cut across page boundaries exactly.
 	if got, err := cl.Scan(0, 1<<63, 401); err != nil || len(got) != 401 {
 		t.Fatalf("limit-401 scan = %d pairs, %v", len(got), err)
+	}
+}
+
+// TestScanReplyAllocs gates what a short SCAN allocates through the server
+// data path (apply, observability off): kv's two result slices and no
+// per-pair buffer or intermediate reply body — the reply is encoded
+// straight into the output buffer.
+func TestScanReplyAllocs(t *testing.T) {
+	st, err := rewind.Open(rewind.Options{ArenaSize: 64 << 20, DisableTracking: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kvs, err := kv.Create(st, kv.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []kv.Op
+	for k := uint64(0); k < 4000; k++ {
+		ops = append(ops, kv.Op{Key: k, Value: bytes.Repeat([]byte{byte(k)}, 100)})
+	}
+	if err := kvs.Batch(ops); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(kvs)
+	req := wire.AppendU64(nil, 1234)
+	req = wire.AppendU64(req, 1<<64-1)
+	req = wire.AppendU32(req, 10)
+	dst := make([]byte, 0, 4096)
+	allocs := testing.AllocsPerRun(200, func() {
+		dst = srv.apply(dst[:0], 7, wire.OpScan, req)
+	})
+	id, status, body, err := wire.ReadFrame(bufio.NewReader(bytes.NewReader(dst)))
+	if err != nil || id != 7 || status != wire.StatusOK {
+		t.Fatalf("SCAN reply: id %d, status %d, %v", id, status, err)
+	}
+	r := &wire.Reader{B: body}
+	if n, _ := r.U32(); n != 10 {
+		t.Fatalf("SCAN reply carries %d pairs, want 10", n)
+	}
+	for k := uint64(1234); k < 1244; k++ {
+		key, _ := r.U64()
+		v, err := r.Bytes()
+		if err != nil || key != k || !bytes.Equal(v, bytes.Repeat([]byte{byte(k)}, 100)) {
+			t.Fatalf("pair for key %d: key %d, %d-byte value, %v", k, key, len(v), err)
+		}
+	}
+	t.Logf("%.1f allocations per 10-pair SCAN", allocs)
+	if allocs > 4 {
+		t.Fatalf("a 10-pair SCAN through apply allocates %.1f objects, want <= 4", allocs)
 	}
 }

@@ -514,26 +514,34 @@ func (s *Server) applyConn(cs *connState, dst []byte, id uint32, op byte, body [
 		// larger than MaxValue fit a frame, which stopped holding when
 		// MaxValue became unbounded. Encode pairs until the next one would
 		// overflow the frame; the client resumes from the last key returned.
-		body := wire.AppendU32(nil, 0)
+		// The reply is encoded in place, its count and length filled in
+		// last.
+		start := len(dst)
+		dst = wire.BeginFrame(dst, id, wire.StatusOK)
+		countAt := len(dst)
+		dst = wire.AppendU32(dst, 0)
 		count := 0
 		for _, p := range pairs {
-			if len(body)+12+len(p.Value) > wire.MaxBody {
+			if len(dst)-countAt+12+len(p.Value) > wire.MaxBody {
 				if count == 0 {
 					// The very first pair alone overflows: report its key and
 					// total so the client chunk-fetches it via GETAT and
 					// resumes the scan past it.
-					tl := wire.AppendU64(nil, p.Key)
-					tl = wire.AppendU64(tl, uint64(len(p.Value)))
-					return wire.AppendFrame(dst, id, wire.StatusTooLarge, tl)
+					dst = wire.AppendU64(dst[:countAt], p.Key)
+					dst = wire.AppendU64(dst, uint64(len(p.Value)))
+					dst[start+8] = wire.StatusTooLarge
+					wire.EndFrame(dst, start)
+					return dst
 				}
 				break
 			}
-			body = wire.AppendU64(body, p.Key)
-			body = wire.AppendBytes(body, p.Value)
+			dst = wire.AppendU64(dst, p.Key)
+			dst = wire.AppendBytes(dst, p.Value)
 			count++
 		}
-		binary.LittleEndian.PutUint32(body[:4], uint32(count))
-		return wire.AppendFrame(dst, id, wire.StatusOK, body)
+		binary.LittleEndian.PutUint32(dst[countAt:], uint32(count))
+		wire.EndFrame(dst, start)
+		return dst
 
 	case wire.OpBatch:
 		ops, err := decodeBatch(r)
