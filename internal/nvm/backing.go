@@ -137,10 +137,10 @@ func OpenFile(cfg Config, path string) (m *Memory, existed bool, err error) {
 	ok = true
 	m = &Memory{
 		cfg:      cfg,
+		words:    make([]uint64, cfg.MaxSize/WordSize),
 		mapped:   data,
 		lockFile: f,
 	}
-	m.words = m.allocWords(cfg.MaxSize / WordSize)
 	m.size.Store(uint64(cfg.Size))
 	m.setPersist(wordsOf(data[backingHeader : backingHeader+cfg.Size]))
 	m.dirty = make([]uint64, (len(m.words)/WordsPerLine+63)/64+1)

@@ -11,12 +11,11 @@ import (
 // The address space stays flat: Grow appends an extent to the end of the
 // arena, so every address handed out before a grow stays valid and no
 // pointer in NVM ever needs rewriting. The cache-visible word array and the
-// dirty bitmap are allocated at MaxSize up front (the word arrays outside
-// the Go heap: see allocWords), so growth never reallocates state a
-// concurrent reader could hold; for file-backed devices only the durable
-// view is remapped, and the old mapping is retained until CloseFile so
-// stale loads of the persist pointer remain valid (MAP_SHARED coherence
-// keeps old and new views identical).
+// dirty bitmap are allocated at MaxSize up front (untouched pages cost no
+// RSS), so growth never reallocates state a concurrent reader could hold;
+// for file-backed devices only the durable view is remapped, and the old
+// mapping is retained until CloseFile so stale loads of the persist pointer
+// remain valid (MAP_SHARED coherence keeps old and new views identical).
 //
 // PunchHole is the inverse: once the allocator's compactor has emptied a
 // region, its pages are returned to the OS while the addresses stay part of

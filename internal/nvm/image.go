@@ -3,7 +3,6 @@ package nvm
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 )
 
 // Durable-image serialization. A Memory's durable state can be captured and
@@ -31,7 +30,6 @@ func (m *Memory) PersistentImage() ([]byte, error) {
 	for i := 0; i < n; i++ {
 		binary.LittleEndian.PutUint64(buf[16+i*WordSize:], p[i])
 	}
-	runtime.KeepAlive(m) // p may be an anonymous mapping m's finalizer unmaps
 	return buf, nil
 }
 

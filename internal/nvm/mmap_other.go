@@ -16,9 +16,6 @@ func flockExclusive(f *os.File) error { return ErrNoBacking }
 
 func munmap(data []byte) error { return nil }
 
-// mapAnon is unsupported here; allocWords falls back to make.
-func mapAnon(n int) ([]byte, error) { return nil, ErrNoBacking }
-
 func msync(data []byte) error { return nil }
 
 func wordsOf(b []byte) []uint64 { return nil }

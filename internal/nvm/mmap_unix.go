@@ -16,13 +16,6 @@ func mmapFile(f *os.File, n int) ([]byte, error) {
 
 func munmap(data []byte) error { return syscall.Munmap(data) }
 
-// mapAnon maps n bytes of zeroed private memory. MAP_NORESERVE reserves
-// address space only: pages are backed when first touched.
-func mapAnon(n int) ([]byte, error) {
-	return syscall.Mmap(-1, 0, n, syscall.PROT_READ|syscall.PROT_WRITE,
-		syscall.MAP_PRIVATE|syscall.MAP_ANON|syscall.MAP_NORESERVE)
-}
-
 // flockExclusive takes a non-blocking exclusive advisory lock on f; it
 // fails immediately if another process holds one.
 func flockExclusive(f *os.File) error {

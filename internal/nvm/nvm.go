@@ -37,7 +37,6 @@ package nvm
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -144,11 +143,8 @@ type Memory struct {
 	// mapped is the raw file mapping backing persist; nil for in-memory
 	// devices. lockFile holds the backing file's exclusive advisory lock
 	// for the mapping's lifetime and is the handle Grow extends through.
-	mapped  []byte
-	oldMaps [][]byte // superseded mappings, unmapped at CloseFile
-	// anon holds the anonymous mappings behind words and an in-memory
-	// persist (allocWords), unmapped when the device is collected.
-	anon     [][]byte
+	mapped   []byte
+	oldMaps  [][]byte // superseded mappings, unmapped at CloseFile
 	lockFile *os.File
 	// growMu serializes Grow and PunchHole (file metadata operations and
 	// extent-table updates). Load/store paths never take it.
@@ -183,44 +179,20 @@ type Memory struct {
 // rest of the system relies on (a zero word is a NULL pointer / empty cell).
 func New(cfg Config) *Memory {
 	cfg = cfg.withDefaults()
-	m := &Memory{cfg: cfg}
-	m.words = m.allocWords(cfg.MaxSize / WordSize)
+	m := &Memory{
+		cfg:   cfg,
+		words: make([]uint64, cfg.MaxSize/WordSize),
+	}
 	m.size.Store(uint64(cfg.Size))
 	if cfg.TrackPersistence {
-		// The shadow is allocated at full capacity up front, like words, so
+		// The shadow is allocated at full capacity up front: Go zero-fills
+		// lazily via untouched pages, so an ungrown arena costs no RSS, and
 		// Grow never has to reallocate an array a concurrent durable store
 		// could be writing through.
-		m.setPersist(m.allocWords(len(m.words)))
+		m.setPersist(make([]uint64, len(m.words)))
 		m.dirty = make([]uint64, (len(m.words)/WordsPerLine+63)/64+1)
 	}
 	return m
-}
-
-// allocWords returns n zeroed words for one of the device's MaxSize-long
-// arrays. They are mapped anonymously (mapAnon) where the platform allows:
-// only touched pages cost RSS, and — unlike a make'd slice, which the
-// garbage collector counts as live heap whether touched or not, putting
-// its next cycle off by the whole arena cap — the mapping is outside the
-// Go heap. The mapping is released when the device is collected.
-func (m *Memory) allocWords(n int) []uint64 {
-	b, err := mapAnon(n * WordSize)
-	if err != nil {
-		return make([]uint64, n)
-	}
-	if m.anon == nil {
-		runtime.SetFinalizer(m, (*Memory).releaseAnon)
-	}
-	m.anon = append(m.anon, b)
-	return wordsOf(b)
-}
-
-// releaseAnon unmaps the arrays allocWords mapped: the finalizer of a
-// dropped device.
-func (m *Memory) releaseAnon() {
-	for _, b := range m.anon {
-		munmap(b)
-	}
-	m.anon = nil
 }
 
 // Size returns the current arena size in bytes. It can increase at any

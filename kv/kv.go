@@ -152,9 +152,9 @@ var (
 	ErrNotFound = errors.New("kv: no store published in root slot")
 )
 
-// readAttempts is how many optimistic attempts a Get, a Scan's walk of one
-// stripe, or a whole Scan makes before falling back to the latch. The
-// fallback bounds reader latency under a write storm; see DESIGN.md §6.
+// readAttempts is how many optimistic attempts a Get or a Scan makes before
+// falling back to the latch. The fallback bounds reader latency under a
+// write storm; see DESIGN.md §6.
 const readAttempts = 8
 
 // latchBuckets sizes each stripe's leaf-latch table. 64 buckets comfortably
@@ -675,17 +675,7 @@ func (s *Store) Get(key uint64) (v []byte, ok bool) {
 func (s *Store) readStripe(sp *stripe, read func(seq uint64) bool) uint64 {
 	if !s.cfg.ExclusiveReads {
 		for attempt := 0; attempt < readAttempts; attempt++ {
-			seq := sp.seq.Load()
-			if seq&writerMask != 0 { // writers mid-mutation: snapshot can't validate
-				s.readRetries.Add(1)
-				runtime.Gosched()
-				continue
-			}
-			ok := read(seq)
-			if optimisticReadHook != nil {
-				optimisticReadHook()
-			}
-			if ok && sp.seq.Load() == seq {
+			if seq, ok := optimistic(sp, read); ok {
 				return seq
 			}
 			s.readRetries.Add(1)
@@ -697,6 +687,23 @@ func (s *Store) readStripe(sp *stripe, read func(seq uint64) bool) uint64 {
 	seq := sp.seq.Load()
 	read(seq)
 	return seq
+}
+
+// optimistic is one optimistic run of read over sp: snapshot the seqlock
+// word, skip the run (yielding) while writers are inside, run, and report
+// whether the word is unchanged — the run saw a stable stripe — along with
+// the word.
+func optimistic(sp *stripe, read func(seq uint64) bool) (uint64, bool) {
+	seq := sp.seq.Load()
+	if seq&writerMask != 0 { // writers mid-mutation: snapshot can't validate
+		runtime.Gosched()
+		return seq, false
+	}
+	ok := read(seq)
+	if optimisticReadHook != nil {
+		optimisticReadHook()
+	}
+	return seq, ok && sp.seq.Load() == seq
 }
 
 // Put durably stores value under key, replacing any prior value. When Put

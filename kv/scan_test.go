@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -160,35 +161,95 @@ func TestScanRevalidatesBetweenPasses(t *testing.T) {
 	}
 }
 
-// TestScanFallsBackToLatches: a writer that lands between the passes of
-// every optimistic attempt exhausts the scan's readAttempts, and the scan
-// then answers under every stripe latch — one fallback, the current state.
+// TestScanFallsBackToLatches: writes that discard every optimistic attempt
+// cost a scan readAttempts retries and then one latched run, which answers
+// with the current state — whether a writer lands between the passes of
+// every attempt, or a storm on one stripe also lands after each of its
+// walks: the scan's attempt loop is the only retry level and the latched
+// scan its only fallback.
 func TestScanFallsBackToLatches(t *testing.T) {
-	s := newKV(t, 2, false)
+	cases := []struct {
+		name  string
+		hooks func(t *testing.T, s *Store) (afterWalk, betweenPasses func())
+	}{
+		{"between-passes", func(t *testing.T, s *Store) (func(), func()) {
+			n := 0
+			return nil, func() {
+				if n++; n > readAttempts {
+					return // the latched scan: key 3's latch is the scan's own
+				}
+				if err := s.Put(3, []byte{byte(n), 0, 0}); err != nil {
+					t.Error(err)
+				}
+			}
+		}},
+		{"storm", func(t *testing.T, s *Store) (func(), func()) {
+			storm := func() { s.stripes[1].seq.Add(1 << 32) } // a whole writer passed
+			return storm, storm
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newKV(t, 2, false)
+			for k := uint64(0); k < 20; k++ {
+				if err := s.Put(k, []byte{byte(k)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			optimisticReadHook, scanPassHook = tc.hooks(t, s)
+			defer func() { optimisticReadHook, scanPassHook = nil, nil }()
+			retries, fallbacks := s.readRetries.Load(), s.readFallbacks.Load()
+			got := s.Scan(0, 9, 5)
+			optimisticReadHook, scanPassHook = nil, nil
+			if d := s.readRetries.Load() - retries; d != readAttempts {
+				t.Errorf("scan retried %d times, want %d", d, readAttempts)
+			}
+			if d := s.readFallbacks.Load() - fallbacks; d != 1 {
+				t.Errorf("scan fell back %d times, want 1", d)
+			}
+			if want := s.Scan(0, 9, 5); !reflect.DeepEqual(got, want) {
+				t.Fatalf("latched scan = %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestScanLatchedHoldsOnlyWinners: by pass 2 a latched scan holds the
+// latches of exactly the stripes its answer comes from. A stripe whose walk
+// found nothing is released, and so is one whose only winner a later
+// stripe pushed out.
+func TestScanLatchedHoldsOnlyWinners(t *testing.T) {
+	st, err := rewind.Open(rewind.Options{ArenaSize: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Create(st, Config{Stripes: 2, MaxValue: 64, ExclusiveReads: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for k := uint64(0); k < 20; k++ {
 		if err := s.Put(k, []byte{byte(k)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	n := 0
-	scanPassHook = func() {
-		n++
-		if err := s.Put(3, []byte{byte(n), 0, 0}); err != nil {
-			t.Error(err)
-		}
-	}
 	defer func() { scanPassHook = nil }()
-	retries, fallbacks := s.readRetries.Load(), s.readFallbacks.Load()
-	got := s.Scan(0, 9, 5)
-	scanPassHook = nil
-	if d := s.readRetries.Load() - retries; d != readAttempts {
-		t.Errorf("scan retried %d times, want %d", d, readAttempts)
-	}
-	if d := s.readFallbacks.Load() - fallbacks; d != 1 {
-		t.Errorf("scan fell back %d times, want 1", d)
-	}
-	if want := s.Scan(0, 9, 5); !reflect.DeepEqual(got, want) {
-		t.Fatalf("latched scan = %v, want %v", got, want)
+	// Scan(0, 9, 1): stripe 0 answers 0, stripe 1's walk of [0, 0] is empty.
+	// Scan(1, 9, 1): stripe 0's 2 is pushed out by stripe 1's 1.
+	for from, holder := range []int{0, 1} {
+		scanPassHook = func() {
+			for i, sp := range s.stripes {
+				free := sp.wmu.TryLock()
+				if free {
+					sp.wmu.Unlock()
+				}
+				if free == (i == holder) {
+					t.Errorf("Scan(%d, 9, 1): stripe %d latch free = %v", from, i, free)
+				}
+			}
+		}
+		if got := s.Scan(uint64(from), 9, 1); len(got) != 1 || got[0].Key != uint64(from) {
+			t.Fatalf("Scan(%d, 9, 1) = %v", from, got)
+		}
 	}
 }
 
@@ -229,6 +290,84 @@ func BenchmarkScan(b *testing.B) {
 			reportReadBill(b, s.Rewind().Stats().Sub(before))
 		})
 	}
+}
+
+// BenchmarkScanWhileWriting runs 10-pair scans, paced at one every
+// scanPeriod so that two builds compare at the same scan rate, while two
+// writers overwrite random keys of every stripe. It reports what the writes
+// cost the scans (retries/scan, fallbacks/scan, scanNs/op: a scan's mean
+// wall time) and what the scans cost the writers (puts/s).
+func BenchmarkScanWhileWriting(b *testing.B) {
+	st, err := rewind.Open(rewind.Options{
+		ArenaSize: 128 << 20, GroupCommit: true,
+		GroupCommitWindow: 30 * time.Microsecond, GroupCommitMax: 8,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := Create(st, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const keys = 8000
+	for k := uint64(0); k < keys; k++ {
+		if err := s.Put(k, patterned(100, byte(k))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	st.Checkpoint()
+	var puts atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 1; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := uint64(rng.Intn(keys))
+				if err := s.Put(k, patterned(100, byte(i))); err != nil {
+					b.Error(err)
+					return
+				}
+				puts.Add(1)
+				if w == 0 && i%2000 == 0 {
+					st.Checkpoint()
+				}
+			}
+		}(w)
+	}
+	rng := rand.New(rand.NewSource(1))
+	before := s.Stats()
+	p0 := puts.Load()
+	const scanPeriod = 250 * time.Microsecond
+	var scanning time.Duration
+	start := time.Now()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		s.Scan(uint64(rng.Intn(keys)), math.MaxUint64, 10)
+		scanning += time.Since(t0)
+		if d := time.Until(start.Add(time.Duration(i+1) * scanPeriod)); d > 0 {
+			time.Sleep(d)
+		}
+	}
+	b.StopTimer()
+	elapsed := time.Since(start)
+	p := puts.Load() - p0
+	close(stop)
+	wg.Wait()
+	d := s.Stats()
+	n := float64(b.N)
+	b.ReportMetric(float64(d.ReadRetries-before.ReadRetries)/n, "retries/scan")
+	b.ReportMetric(float64(d.ReadFallbacks-before.ReadFallbacks)/n, "fallbacks/scan")
+	b.ReportMetric(float64(p)/elapsed.Seconds(), "puts/s")
+	b.ReportMetric(float64(scanning.Nanoseconds())/n, "scanNs/op")
 }
 
 // reportReadBill reports a read benchmark's device bill per op.
