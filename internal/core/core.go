@@ -373,7 +373,8 @@ type Ticket struct {
 // Txn is one transaction: the handle Begin returns, the volatile state the
 // paper keeps in a transaction-table entry (§4.1), and — inside recovery
 // only — the entry analysis rebuilds. Nothing in a live manager points at
-// it, so it is collectable the moment its caller drops it.
+// it, so it is collectable the moment its caller drops it, and reusable by
+// a later Begin once its caller hands it back (Release).
 //
 // A Txn is not safe for concurrent use by multiple goroutines; run one
 // transaction per goroutine (the manager itself is concurrent). Every field
@@ -398,7 +399,7 @@ type Txn struct {
 
 	// onPublish is invoked exactly once inside Commit at the moment every
 	// write is visible in the shared image (see OnPublish).
-	onPublish func()
+	onPublish Publisher
 	// span, when non-nil, additionally receives Commit's phase timings
 	// (set by Observe; Config.Obs must be set for timings to be taken).
 	span *obs.Span
@@ -421,14 +422,22 @@ func (x *Txn) Buffered() bool { return x.buf != nil }
 // request that owns the transaction its own flight record.
 func (x *Txn) Observe(span *obs.Span) { x.span = span }
 
-// OnPublish registers fn to run exactly once, inside Commit, at the point
+// Publisher is a publish hook (OnPublish): one method, so a caller can hand
+// over release state it keeps in a reused value instead of a closure.
+type Publisher interface {
+	// Published runs inside x's commit, once every write of x is visible
+	// and its commit order fixed (x.Ticket is valid).
+	Published(x *Txn)
+}
+
+// OnPublish registers p to run exactly once, inside Commit, at the point
 // the transaction's writes are all visible in the shared image: at entry
 // under UndoRedo (in-place writes are already visible) and right after the
-// buffer publish under RedoOnly. In both cases fn runs before Commit
-// blocks on durability, so readers fn releases never wait out a flush.
-// fn runs under the shard mutex: hooks of one shard run one at a time, in
+// buffer publish under RedoOnly. In both cases p runs before Commit
+// blocks on durability, so readers p releases never wait out a flush.
+// p runs under the shard mutex: hooks of one shard run one at a time, in
 // the shard's commit (ticket) order. Rollback drops the hook unrun.
-func (x *Txn) OnPublish(fn func()) { x.onPublish = fn }
+func (x *Txn) OnPublish(p Publisher) { x.onPublish = p }
 
 // Ticket returns the commit's ticket. It is valid from the OnPublish hook
 // onward (the zero Ticket before that), so a hook can record it while the
@@ -437,11 +446,33 @@ func (x *Txn) Ticket() Ticket { return x.ticket }
 
 // firePublish fires the OnPublish hook, once.
 func (x *Txn) firePublish() {
-	if fn := x.onPublish; fn != nil {
+	if p := x.onPublish; p != nil {
 		x.onPublish = nil
-		fn()
+		p.Published(x)
 	}
 }
+
+// Release hands a finished handle back to its manager, whose next Begin may
+// return it, so a caller that runs transactions back to back allocates no
+// handle per transaction. The caller must hold the only reference: nothing
+// may touch x after Release — its Ticket included, so read that first. A
+// handle that is not Done (never published, committed or rolled back, or
+// released already) is left alone. Begin's callers are not obliged to call
+// it; rewind.Store.PublishOn does, once Publish or Rollback has returned.
+func (x *Txn) Release() {
+	if !x.Done() {
+		return
+	}
+	*x = Txn{}
+	freeTxns.Put(x)
+}
+
+// freeTxns holds released handles (Txn.Release) for Begin to reuse. It is
+// one pool for every manager, not a field of TM: a pool is reachable from
+// the runtime's list of pools until the second collection after its last
+// use, and a TM reachable that long keeps its whole device alive with it. A
+// released handle is zeroed, so it points at no manager.
+var freeTxns sync.Pool
 
 // Done reports whether the transaction has been committed, published or
 // rolled back (or one of those was started: a transaction whose commit was

@@ -36,7 +36,11 @@ func (tm *TM) BeginOn(shard int) *Txn {
 // beginID starts a transaction under the given id. It is counted running
 // on its shard before the dirty mark is consulted (Close relies on it).
 func (tm *TM) beginID(id uint64) *Txn {
-	x := &Txn{tm: tm, sh: tm.shardFor(id), id: id}
+	x, _ := freeTxns.Get().(*Txn)
+	if x == nil {
+		x = new(Txn)
+	}
+	*x = Txn{tm: tm, sh: tm.shardFor(id), id: id}
 	if tm.cfg.CommitMode == RedoOnly {
 		x.buf = &redoBuf{writes: map[uint64]uint64{}}
 	}

@@ -9,18 +9,21 @@ import (
 )
 
 // TestTxnAllocs pins what a transaction costs the Go heap in the
-// configuration the kv service runs (OneLayer/Batch/NoForce): one object,
-// the handle — no table entry, no map slot — when every commit flushes for
-// itself, and three more under group commit, where a lone commit also leads
-// its round (the round and its two channels).
+// configuration the kv service runs (OneLayer/Batch/NoForce): no table
+// entry, no map slot, and no handle either once handles go back to the
+// manager (Release, what rewind.Store.PublishOn does) — one object, the
+// handle, only for a caller that keeps it. Group commit adds three, as a
+// lone commit leads its own round (the round and its two channels).
 func TestTxnAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
 		groupCommit bool
+		release     bool
 		min, max    float64
 	}{
-		{"per-commit flush", false, 1, 1},
-		{"group commit", true, 1, 4},
+		{"kept handle, per-commit flush", false, false, 1, 1},
+		{"released handle, per-commit flush", false, true, 0, 0},
+		{"released handle, group commit", true, true, 3, 3},
 	} {
 		cfg := trafficCfg(1)
 		cfg.GroupCommit = tc.groupCommit
@@ -35,12 +38,47 @@ func TestTxnAllocs(t *testing.T) {
 			if err := x.Commit(); err != nil {
 				t.Fatal(err)
 			}
+			if tc.release {
+				x.Release()
+			}
 		})
 		if got < tc.min || got > tc.max {
-			t.Errorf("%s: %v allocs per Begin+WriteBytes+Commit, want %v..%v", tc.name, got, tc.min, tc.max)
+			t.Errorf("%s: %v allocs per transaction, want %v..%v", tc.name, got, tc.min, tc.max)
 		}
 	}
 }
+
+// TestReleaseRecyclesOnlyFinished checks Release's guard: a running handle
+// is left alone (and still commits), and a finished one comes back from the
+// next Begin reset — new id, running, no hook, no span.
+func TestReleaseRecyclesOnlyFinished(t *testing.T) {
+	_, a, tm := newTM(t, trafficCfg(1))
+	data := dataBlock(a, 2, 0)
+	x := tm.Begin()
+	x.Release()
+	if err := x.Write64(data, 1); err != nil {
+		t.Fatalf("a running handle was recycled by Release: %v", err)
+	}
+	x.OnPublish(publishFunc(func(*Txn) {}))
+	if err := x.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	id := x.ID()
+	x.Release()
+	y := tm.Begin()
+	if y.ID() == id || y.Done() || y.onPublish != nil || y.span != nil {
+		t.Fatalf("reused handle not reset: id %d (was %d), done %v, hook %v, span %v",
+			y.ID(), id, y.Done(), y.onPublish, y.span)
+	}
+	if err := y.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// publishFunc adapts a function to Publisher.
+type publishFunc func(*Txn)
+
+func (f publishFunc) Published(x *Txn) { f(x) }
 
 // finishedEntries counts the entries waiting on the shards' finished lists.
 func finishedEntries(tm *TM) int {

@@ -315,11 +315,21 @@ func (o *Obs) SlowOpThreshold() time.Duration {
 
 // StartSpan begins a span for one operation. Returns nil on a nil Obs,
 // and every consumer of spans accepts nil.
-func (o *Obs) StartSpan(op OpKind, key uint64) *Span {
+func (o *Obs) StartSpan(op OpKind, key uint64) *Span { return o.StartSpanIn(nil, op, key) }
+
+// StartSpanIn is StartSpan into storage the caller owns and reuses — the
+// server's per-connection request slots — so a span costs no allocation:
+// *sp is reset and returned (a fresh span when sp is nil). Returns nil on a
+// nil Obs.
+func (o *Obs) StartSpanIn(sp *Span, op OpKind, key uint64) *Span {
 	if o == nil {
 		return nil
 	}
-	return &Span{Op: op, Key: key, Start: time.Now()}
+	if sp == nil {
+		sp = new(Span)
+	}
+	*sp = Span{Op: op, Key: key, Start: time.Now()}
+	return sp
 }
 
 // PhaseNs records one commit-pipeline phase observation: into the phase

@@ -137,25 +137,44 @@ func EndFrame(dst []byte, start int) {
 
 // ReadFrame reads one frame. The returned body aliases a fresh buffer.
 func ReadFrame(r *bufio.Reader) (id uint32, op byte, body []byte, err error) {
-	var hdr [4]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+	var buf []byte
+	return ReadFrameInto(r, &buf)
+}
+
+// ReadFrameInto reads one frame into *buf, which the caller owns and passes
+// again for the next frame: *buf is grown when the frame does not fit (at
+// most to MaxFrame) and reused when it does, so a reader that keeps its
+// buffer allocates nothing per frame. The returned body aliases *buf and is
+// valid until *buf is next read into; bytes that must outlive it are the
+// caller's to copy.
+func ReadFrameInto(r *bufio.Reader, buf *[]byte) (id uint32, op byte, body []byte, err error) {
+	// Peek, not a read into a local array: the header costs no allocation.
+	hdr, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n < 5 {
 		return 0, 0, nil, fmt.Errorf("wire: frame length %d too small", n)
 	}
 	if n > MaxFrame {
 		return 0, 0, nil, ErrFrameTooLarge
 	}
-	buf := make([]byte, n)
-	if _, err = io.ReadFull(r, buf); err != nil {
+	r.Discard(4)
+	if uint32(cap(*buf)) < n {
+		*buf = make([]byte, n)
+	}
+	b := (*buf)[:n]
+	if _, err = io.ReadFull(r, b); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return 0, 0, nil, err
 	}
-	return binary.LittleEndian.Uint32(buf[0:4]), buf[4], buf[5:], nil
+	return binary.LittleEndian.Uint32(b[0:4]), b[4], b[5:], nil
 }
 
 // U64 / U32 body helpers.

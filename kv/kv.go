@@ -436,20 +436,13 @@ func (s *Store) update(stripes []int, span *obs.Span, fn func(tx *rewind.Tx) err
 	for _, i := range stripes {
 		s.stripes[i].enterWrite()
 	}
-	open := true
-	closeWindows := func() {
-		if open {
-			open = false
-			for _, i := range stripes {
-				s.stripes[i].exitWrite()
-			}
-		}
-	}
+	u := s.holdLatches(holdWindows, nil)
+	u.stripes = stripes
 	// On the error path the windows must outlive the rollback that Atomic
-	// runs inside itself; the deferred close also covers a panic unwinding
-	// through Atomic's own rollback (crash-injection panics abandon the
-	// store, but the counters still end even).
-	defer closeWindows()
+	// runs inside itself; the deferred release also covers a panic
+	// unwinding through Atomic's own rollback (crash-injection panics
+	// abandon the store, but the counters still end even).
+	defer u.drop()
 	return s.st.Atomic(func(tx *rewind.Tx) error {
 		tx.Observe(span)
 		if err := fn(tx); err != nil {
@@ -459,12 +452,7 @@ func (s *Store) update(stripes []int, span *obs.Span, fn func(tx *rewind.Tx) err
 		// and the END record has fixed the commit order — before the
 		// commit's durability wait, so readers validating against the
 		// window never spin out a group-commit gather.
-		tx.OnPublish(func() {
-			if publishHook != nil {
-				publishHook()
-			}
-			closeWindows()
-		})
+		tx.OnPublish(u)
 		return nil
 	})
 }
@@ -483,28 +471,15 @@ func (s *Store) updatePinned(sp *stripe, span *obs.Span, fn func(tx *rewind.Tx) 
 	lw := s.latchStart()
 	sp.wmu.Lock()
 	s.latchDone(lw, span)
-	released := false
-	release := func() {
-		if !released {
-			released = true
-			sp.exitWrite()
-			sp.wmu.Unlock()
-		}
-	}
+	u := s.holdLatches(holdStripe, sp)
 	sp.enterWrite()
-	defer release()
+	defer u.drop()
 	tk, err := s.st.PublishOn(sp.shard, func(tx *rewind.Tx) error {
 		tx.Observe(span)
 		if err := fn(tx); err != nil {
 			return err
 		}
-		tx.OnPublish(func() {
-			sp.lastSeq.Store(tx.Ticket().Seq)
-			if publishHook != nil {
-				publishHook()
-			}
-			release()
-		})
+		tx.OnPublish(u)
 		return nil
 	})
 	s.st.TM().WaitPaced(tk, span) // shape-changing: not pipelined (see commitLeafPath)
@@ -536,21 +511,10 @@ func (s *Store) updatePinned(sp *stripe, span *obs.Span, fn func(tx *rewind.Tx) 
 // ROADMAP.md has the numbers to beat).
 func (s *Store) commitLeafPath(sp *stripe, leaf uint64, delta int, span *obs.Span, fn func(tx *rewind.Tx) error) (rewind.Ticket, error) {
 	t := sp.tree
-	hdrLatched := false
-	released := false
-	release := func() {
-		if !released {
-			released = true
-			sp.exitWrite()
-			if hdrLatched {
-				sp.latches.Unlock(t.CountAddr())
-			}
-			sp.latches.Unlock(leaf)
-			sp.wmu.RUnlock()
-		}
-	}
+	u := s.holdLatches(holdLeaf, sp)
+	u.leaf = leaf
 	sp.enterWrite()
-	defer release()
+	defer u.drop()
 	tk, err := s.st.PublishOn(sp.shard, func(tx *rewind.Tx) error {
 		tx.Observe(span)
 		if err := fn(tx); err != nil {
@@ -562,25 +526,106 @@ func (s *Store) commitLeafPath(sp *stripe, leaf uint64, delta int, span *obs.Spa
 				if sp.latches.Lock(cnt) {
 					s.latchWaits.Add(1)
 				}
-				hdrLatched = true
+				u.hdr = true
 			}
 			if err := t.AddLen(tx, delta); err != nil {
 				return err
 			}
 		}
-		tx.OnPublish(func() {
-			sp.lastSeq.Store(tx.Ticket().Seq)
-			if publishHook != nil {
-				publishHook()
-			}
-			release()
-		})
+		tx.OnPublish(u)
 		return nil
 	})
 	if delta != 0 {
 		s.st.TM().WaitPaced(tk, span)
 	}
 	return tk, err
+}
+
+// heldLatches is one write's release state: what its transaction's publish
+// hook opens (Published — at publish, never across a flush), and what the
+// writer's deferred release opens instead when the transaction does not
+// publish (an error, a rollback, a panic). The three write paths share it,
+// and kv recycles it (heldPool), so a commit's hook costs no closure and
+// no captured variable.
+type heldLatches struct {
+	s    *Store
+	sp   *stripe // a single-stripe write's stripe: its ticket becomes lastSeq
+	kind holdKind
+	leaf uint64 // holdLeaf: the latched leaf
+	hdr  bool   // holdLeaf: the header-count latch was taken as well
+	// holdWindows: the stripes whose windows close at publish; their
+	// exclusive latches stay held through the commit wait (update).
+	stripes []int
+	done    bool
+}
+
+type holdKind uint8
+
+const (
+	holdWindows holdKind = iota // update: the stripes' write windows
+	holdStripe                  // updatePinned: window, wmu exclusive
+	holdLeaf                    // commitLeafPath: window, leaf (+ header) latch, wmu shared
+)
+
+// heldPool recycles heldLatches values, zeroed, for every store: a pool
+// that is a Store field keeps the store, and its device, reachable for up
+// to two collections after its last use (core's freeTxns says more).
+var heldPool sync.Pool
+
+// holdLatches takes a release state from the pool.
+func (s *Store) holdLatches(kind holdKind, sp *stripe) *heldLatches {
+	u, _ := heldPool.Get().(*heldLatches)
+	if u == nil {
+		u = new(heldLatches)
+	}
+	*u = heldLatches{s: s, sp: sp, kind: kind}
+	return u
+}
+
+// drop opens whatever publish did not and returns u to the pool: the
+// writer's deferred call, after which the transaction (finished or
+// abandoned) no longer reaches u.
+func (u *heldLatches) drop() {
+	u.open()
+	*u = heldLatches{}
+	heldPool.Put(u)
+}
+
+// Published is the publish hook (core.Publisher): record the stripe's
+// newest ticket while the latches that order it are still held, then open
+// them.
+func (u *heldLatches) Published(tx *rewind.Tx) {
+	if u.sp != nil {
+		u.sp.lastSeq.Store(tx.Ticket().Seq)
+	}
+	if publishHook != nil {
+		publishHook()
+	}
+	u.open()
+}
+
+// open releases the write's latches and closes its windows, once.
+func (u *heldLatches) open() {
+	if u.done {
+		return
+	}
+	u.done = true
+	switch sp := u.sp; u.kind {
+	case holdWindows:
+		for _, i := range u.stripes {
+			u.s.stripes[i].exitWrite()
+		}
+	case holdStripe:
+		sp.exitWrite()
+		sp.wmu.Unlock()
+	case holdLeaf:
+		sp.exitWrite()
+		if u.hdr {
+			sp.latches.Unlock(sp.tree.CountAddr())
+		}
+		sp.latches.Unlock(u.leaf)
+		sp.wmu.RUnlock()
+	}
 }
 
 // readValue copies a record's payload out of the arena: length word first,

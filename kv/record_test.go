@@ -38,9 +38,11 @@ func logBytesOf(st *rewind.Store, fn func()) int64 {
 // overwrite logs one span of the length word and the used payload, its END
 // folded in — 88 B for 8 bytes (48 redo-only), 872 B for 400 (440) —
 // whatever MaxValue the slot was sized for, and an overwrite Put allocates
-// at most 6 objects (10 before the rule; the record image, the span's two
-// word slices and the transaction's table entry are gone). It runs under
-// -short.
+// nothing (10 before the rule; the record image, the span's two word
+// slices and the transaction's table entry went first, then the handle,
+// which PublishOn recycles, and the publish hook's closures and captured
+// flags, now one pooled value; one under -race, whose sync.Pool drops
+// values). It runs under -short.
 func TestLogBytesFollowValueLength(t *testing.T) {
 	open := func(mode rewind.CommitMode, maxValue int) (*rewind.Store, *Store) {
 		st, err := rewind.Open(rewind.Options{ArenaSize: 8 << 20, CommitMode: mode})
@@ -149,13 +151,16 @@ func TestLogBytesFollowValueLength(t *testing.T) {
 	if err := s.Put(1, v); err != nil {
 		t.Fatal(err)
 	}
-	const maxAllocs = 6
+	maxAllocs := 0.0
+	if raceEnabled {
+		maxAllocs = 1 // each of the write path's pools drops a quarter: ≈ 1.0 per Put
+	}
 	if got := testing.AllocsPerRun(200, func() {
 		if err := s.Put(1, v); err != nil {
 			t.Fatal(err)
 		}
 	}); got > maxAllocs {
-		t.Errorf("overwrite Put allocates %.0f objects, want <= %d", got, maxAllocs)
+		t.Errorf("overwrite Put allocates %.0f objects, want <= %.0f", got, maxAllocs)
 	}
 }
 

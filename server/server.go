@@ -47,6 +47,11 @@ import (
 // bufSize sizes the per-connection reader and writer (pipelining depth).
 const bufSize = 64 << 10
 
+// frameSize is the frame buffer a connection starts with: every request
+// frame up to this size is read into the same bytes. A larger frame grows
+// it (wire.ReadFrameInto); one past bufSize is not kept.
+const frameSize = 4 << 10
+
 func newReader(c net.Conn) *bufio.Reader { return bufio.NewReaderSize(c, bufSize) }
 func newWriter(c net.Conn) *bufio.Writer { return bufio.NewWriterSize(c, bufSize) }
 
@@ -258,10 +263,15 @@ func (s *Server) handleConn(c net.Conn) {
 	// responses in arrival order and pend their requests; nothing in out
 	// reaches the socket until every request before it has been released,
 	// which for a mutation means its ticket is durable. Both are bounded
-	// (maxBurst requests, about bufSize bytes) and reused, burst after burst.
+	// (maxBurst requests, about bufSize bytes) and reused, burst after burst,
+	// and so is frame, the buffer every request is read into: a body is
+	// valid only until the next read, and nothing an executed request
+	// leaves behind points into it (kv copies what it keeps). A pend slot
+	// holds its request's span too, so a request allocates nothing here.
 	// When the buffer runs dry the burst may still go on: g waits for the
 	// next frame while the round is still gathering (gather.go).
 	var out []byte
+	frame := make([]byte, frameSize)
 	pend := make([]request, 0, maxBurst)
 	var g gather
 	for {
@@ -269,7 +279,7 @@ func (s *Server) handleConn(c net.Conn) {
 		// here without releasing only when the next frame is wholly
 		// buffered, and reading a wholly buffered frame cannot fail. A read
 		// error therefore never strands an executed request's reply.
-		id, op, body, err := wire.ReadFrame(br)
+		id, op, body, err := wire.ReadFrameInto(br, &frame)
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				s.errored.Add(1)
@@ -277,8 +287,13 @@ func (s *Server) handleConn(c net.Conn) {
 			return
 		}
 		s.requests.Add(1)
-		rq := s.startRequest(op)
-		out = s.applyConn(cs, out, id, op, body, &rq)
+		pend = pend[:len(pend)+1]
+		rq := &pend[len(pend)-1]
+		s.startRequest(rq, op, &rq.rec)
+		out = s.applyConn(cs, out, id, op, body, rq)
+		if cap(frame) > bufSize {
+			frame = make([]byte, frameSize) // a large frame's buffer is not kept
+		}
 		if g.first.Seq == 0 && !s.kv.Rewind().TM().Durable(rq.ticket) {
 			g.first = rq.ticket
 		}
@@ -286,11 +301,10 @@ func (s *Server) handleConn(c net.Conn) {
 			rq.executed = time.Now() // its reply queues from here if a burst forms
 		}
 		more := frameBuffered(br) ||
-			len(pend)+1 < maxBurst && len(out) < bufSize && g.wait(s, c, br)
-		if !more && len(pend) == 0 {
+			len(pend) < maxBurst && len(out) < bufSize && g.wait(s, c, br)
+		if !more && len(pend) == 1 {
 			rq.executed = time.Time{} // a lone request: nothing to queue behind
 		}
-		pend = append(pend, rq)
 		if more && len(pend) < maxBurst && len(out) < bufSize {
 			continue
 		}
@@ -337,7 +351,8 @@ func frameBuffered(br *bufio.Reader) bool {
 // sockets, which is what the deterministic crash tests drive directly;
 // transaction ops run against a shared fallback connection state.
 func (s *Server) apply(dst []byte, id uint32, op byte, body []byte) []byte {
-	rq := s.startRequest(op)
+	var rq request
+	s.startRequest(&rq, op, nil)
 	dst = s.applyConn(s.defaultConnState(), dst, id, op, body, &rq)
 	s.release(&rq, nil)
 	return dst
@@ -394,15 +409,16 @@ type request struct {
 	sim0     int64         // device clock at frame in
 	ticket   rewind.Ticket // what the reply waits for; zero: nothing
 	executed time.Time     // end of execution, for a request inside a burst
+	rec      obs.Span      // the span's storage in a connection's pend slot
 }
 
-// startRequest opens the span for one incoming frame.
-func (s *Server) startRequest(op byte) request {
-	rq := request{span: s.obs.StartSpan(opKind(op), 0)}
-	if rq.span != nil {
+// startRequest opens rq for one incoming frame, its span (when
+// observability is on) in sp, or in a fresh span when sp is nil.
+func (s *Server) startRequest(rq *request, op byte, sp *obs.Span) {
+	*rq = request{}
+	if rq.span = s.obs.StartSpanIn(sp, opKind(op), 0); rq.span != nil {
 		rq.sim0 = s.kv.Rewind().SimNS()
 	}
-	return rq
 }
 
 // release waits until rq's mutation is durable — the one rule the reply
@@ -457,7 +473,7 @@ func (s *Server) applyConn(cs *connState, dst []byte, id uint32, op byte, body [
 			// the client's ReadFrame rejects, poisoning the connection and
 			// every pipelined request on it. Tell the client the total so it
 			// can switch to GETAT chunks.
-			return wire.AppendFrame(dst, id, wire.StatusTooLarge, wire.AppendU64(nil, uint64(len(v))))
+			return appendU64Frame(dst, id, wire.StatusTooLarge, uint64(len(v)))
 		}
 		return wire.AppendFrame(dst, id, wire.StatusOK, v)
 
@@ -565,7 +581,7 @@ func (s *Server) applyConn(cs *connState, dst []byte, id uint32, op byte, body [
 		if err != nil {
 			return fail(err)
 		}
-		return wire.AppendFrame(dst, id, wire.StatusOK, wire.AppendU64(nil, tid))
+		return appendU64Frame(dst, id, wire.StatusOK, tid)
 
 	case wire.OpCommit, wire.OpRollback:
 		tid, err := r.U64()
@@ -635,7 +651,7 @@ func (s *Server) applyConn(cs *connState, dst []byte, id uint32, op byte, body [
 		if len(v) > wire.MaxBody {
 			// Only committed state can be this large — TPUT requests are
 			// frame-capped — so GETAT chunks observe the same bytes.
-			return wire.AppendFrame(dst, id, wire.StatusTooLarge, wire.AppendU64(nil, uint64(len(v))))
+			return appendU64Frame(dst, id, wire.StatusTooLarge, uint64(len(v)))
 		}
 		return wire.AppendFrame(dst, id, wire.StatusOK, v)
 
@@ -747,12 +763,23 @@ func (s *Server) applyConn(cs *connState, dst []byte, id uint32, op byte, body [
 		if !ok {
 			return wire.AppendFrame(dst, id, wire.StatusNotFound, nil)
 		}
-		body := wire.AppendU64(nil, total)
-		body = wire.AppendU64(body, token)
-		body = append(body, chunk...)
-		return wire.AppendFrame(dst, id, wire.StatusOK, body)
+		start := len(dst)
+		dst = wire.BeginFrame(dst, id, wire.StatusOK)
+		dst = wire.AppendU64(dst, total)
+		dst = wire.AppendU64(dst, token)
+		dst = append(dst, chunk...)
+		wire.EndFrame(dst, start)
+		return dst
 	}
 	return fail(fmt.Errorf("server: unknown op %d", op))
+}
+
+// appendU64Frame appends a frame whose body is one u64, encoded in place.
+func appendU64Frame(dst []byte, id uint32, status byte, v uint64) []byte {
+	start := len(dst)
+	dst = wire.AppendU64(wire.BeginFrame(dst, id, status), v)
+	wire.EndFrame(dst, start)
+	return dst
 }
 
 // decodeBatch parses a BATCH body into kv ops.

@@ -16,8 +16,9 @@ import (
 // transaction has committed), and the block ends with Commit — or Publish
 // and a later WaitDurable — or Rollback. Read64/ReadBytes see the
 // transaction's own unpublished writes under RedoOnly (Buffered), OnPublish
-// hooks the moment its writes are visible and its commit order fixed, and
-// Observe charges Commit's phases to a span.
+// hooks the moment its writes are visible and its commit order fixed (a
+// one-method interface, so the hook's state can live in a reused value),
+// and Observe charges Commit's phases to a span.
 //
 // It is the transaction manager's own object, re-exported: every call goes
 // straight to the transaction's log shard, and the manager keeps no table
@@ -74,9 +75,14 @@ func (s *Store) Atomic(fn func(tx *Tx) error) error {
 
 // PublishOn is Atomic pinned to a log shard (BeginOn) and without the
 // durability wait: a nil return from fn publishes the transaction and
-// hands back its ticket for WaitDurable.
+// hands back its ticket for WaitDurable. The handle is recycled (Tx.Release)
+// once it is published or rolled back, so fn and its OnPublish hook may use
+// tx only until PublishOn returns; after a panic it is left alone.
 func (s *Store) PublishOn(shard int, fn func(tx *Tx) error) (Ticket, error) {
-	return runAtomic(s.BeginOn(shard), fn)
+	tx := s.BeginOn(shard)
+	t, err := runAtomic(tx, fn)
+	tx.Release()
+	return t, err
 }
 
 func runAtomic(tx *Tx, fn func(tx *Tx) error) (Ticket, error) {
